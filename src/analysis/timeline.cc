@@ -72,20 +72,26 @@ Timeline::gaps_at(TimeNs t) const
 }
 
 std::size_t
-peak_occupancy(std::vector<OccupancyEdge> edges)
+Timeline::peak_with(std::vector<OccupancyEdge> extra) const
 {
-    std::sort(edges.begin(), edges.end(),
-              [](const OccupancyEdge &a, const OccupancyEdge &b) {
-                  if (a.t != b.t)
-                      return a.t < b.t;
-                  return a.delta < b.delta;
-              });
-    std::int64_t cur = 0;
+    if (extra.empty())
+        return peak_bytes_;
+    std::sort(extra.begin(), extra.end());
+    // Merge into the index's sorted edges: prefix_[i] + offset is the
+    // running sum once i base edges and the extra edges so far have
+    // applied. Edges equal in (t, delta) are interchangeable.
+    const std::size_t n = sorted_edges_.size();
+    std::int64_t offset = 0;
     std::int64_t best = 0;
-    for (const auto &e : edges) {
-        cur += e.delta;
-        best = std::max(best, cur);
+    std::size_t done = 0;
+    for (const auto &e : extra) {
+        for (; done < n && sorted_edges_[done] < e; ++done)
+            best = std::max(best, prefix_[done + 1] + offset);
+        offset += e.delta;
+        best = std::max(best, prefix_[done] + offset);
     }
+    for (; done < n; ++done)
+        best = std::max(best, prefix_[done + 1] + offset);
     return static_cast<std::size_t>(best);
 }
 

@@ -8,7 +8,9 @@
  * built by one: every consumer shares the single instance the view
  * caches instead of re-deriving it (`view.timeline()`), which is
  * what keeps a full `relief` run at exactly one O(n log n) timeline
- * construction.
+ * construction. What-if peaks (a plan's residency windows applied
+ * to the trace) merge the plan's k edges into the index's sorted
+ * edges through peak_with, in O(n + k log k) with no n-sized copy.
  */
 #pragma once
 
@@ -72,13 +74,20 @@ struct GapStats {
 /**
  * Occupancy change at a time point. The common currency of the
  * what-if peak computations: the swap executor and the relief
- * planner both rebuild occupancy from these edges so their peak
- * arithmetic can never drift apart.
+ * planner both pass their decision edges to Timeline::peak_with,
+ * so their peak arithmetic can never drift apart.
  */
 struct OccupancyEdge {
     TimeNs t;
     std::int64_t delta;
 };
+
+/** (t, delta) order: at equal times frees apply before allocs. */
+inline bool
+operator<(const OccupancyEdge &a, const OccupancyEdge &b)
+{
+    return a.t != b.t ? a.t < b.t : a.delta < b.delta;
+}
 
 /**
  * Per-block view of a trace. Immutable; construction is O(n log n)
@@ -134,11 +143,14 @@ class Timeline
     std::size_t peak_bytes() const { return peak_bytes_; }
 
     /**
-     * @return the alloc/free edges of every block, in block
-     * (allocation) order — the seed vector the what-if peak
-     * computations copy and extend.
+     * @return the peak of the running occupancy sum once @p extra
+     * is added to the trace's own alloc/free edges. At equal times
+     * negative deltas apply first, so a window that closes exactly
+     * where another opens never double-counts. O(n + k log k) for
+     * k extra edges: only @p extra is sorted, then merged into the
+     * index's sorted edges. peak_bytes() when @p extra is empty.
      */
-    const std::vector<OccupancyEdge> &edges() const { return edges_; }
+    std::size_t peak_with(std::vector<OccupancyEdge> extra) const;
 
   private:
     /** Built exclusively by TraceView::timeline(). */
@@ -148,22 +160,13 @@ class Timeline
     std::vector<BlockLifetime> blocks_;
     TimeNs start_ = 0;
     TimeNs end_ = 0;
-    /** Alloc/free edges in block order (edges() / what-if seeds). */
-    std::vector<OccupancyEdge> edges_;
-    /** Edges sorted by (t, delta): frees before allocs at ties. */
+    /** Alloc/free edges sorted by (t, delta): frees first at ties. */
     std::vector<OccupancyEdge> sorted_edges_;
     /** prefix_[i] = occupancy after the first i sorted edges. */
     std::vector<std::int64_t> prefix_;
     TimeNs peak_time_ = 0;
     std::size_t peak_bytes_ = 0;
 };
-
-/**
- * @return the peak of the running occupancy sum over @p edges. At
- * equal times negative deltas apply first, so a window that closes
- * exactly where another opens never double-counts.
- */
-std::size_t peak_occupancy(std::vector<OccupancyEdge> edges);
 
 }  // namespace analysis
 }  // namespace pinpoint

@@ -110,24 +110,18 @@ TraceView::build_timeline() const
         }
     }
 
-    // Freeze the probe structures: block-order edges for the
-    // what-if computations, and the (t, delta)-sorted copy with
-    // prefix sums that answers live_bytes_at/peak in O(log n)/O(1).
-    t->edges_.reserve(t->blocks_.size() * 2);
+    // Freeze the probe structures: the (t, delta)-sorted edges with
+    // prefix sums that answer live_bytes_at/peak in O(log n)/O(1)
+    // and seed the what-if merges of peak_with.
+    t->sorted_edges_.reserve(t->blocks_.size() * 2);
     for (const auto &b : t->blocks_) {
-        t->edges_.push_back(
+        t->sorted_edges_.push_back(
             {b.alloc_time, static_cast<std::int64_t>(b.size)});
         if (b.freed)
-            t->edges_.push_back(
+            t->sorted_edges_.push_back(
                 {b.free_time, -static_cast<std::int64_t>(b.size)});
     }
-    t->sorted_edges_ = t->edges_;
-    std::sort(t->sorted_edges_.begin(), t->sorted_edges_.end(),
-              [](const OccupancyEdge &a, const OccupancyEdge &b) {
-                  if (a.t != b.t)
-                      return a.t < b.t;
-                  return a.delta < b.delta;  // frees first at ties
-              });
+    std::sort(t->sorted_edges_.begin(), t->sorted_edges_.end());
     t->prefix_.reserve(t->sorted_edges_.size() + 1);
     std::int64_t cur = 0;
     std::int64_t best = -1;

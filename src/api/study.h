@@ -3,7 +3,7 @@
  * api::Study — the run artifact of one characterization. A Study
  * owns the runtime::SessionResult of a workload and exposes every
  * derived analysis the repo computes — the block timeline and
- * occupancy edges/peak, ATI samples and statistics, the occupation
+ * occupancy peak, ATI samples and statistics, the occupation
  * breakdown, the iterative-pattern verdict, the shared-link swap
  * validation, and the three unified-relief reports — as *lazy,
  * computed-once, cached facets*.
@@ -247,10 +247,6 @@ class Study
     /** @return the per-block timeline (Fig. 2 reconstruction) —
      * the view's cached sub-index. */
     const analysis::Timeline &timeline() const;
-
-    /** @return the alloc/free occupancy edges of the timeline. */
-    const std::vector<analysis::OccupancyEdge> &
-    occupancy_edges() const;
 
     /** @return the peak of the running occupancy sum. */
     std::size_t peak_occupancy_bytes() const;

@@ -5,6 +5,7 @@
  * spill-file grid signatures, the result-schema salt) — never for
  * security. The constants and byte order are fixed by the FNV spec,
  * so a key hashed today matches a key hashed by any future build.
+ * Also the splitmix64 finalizer, the repo's seeded counter mixer.
  */
 #pragma once
 
@@ -33,6 +34,16 @@ fnv1a64(const std::string &text, std::uint64_t seed = kFnv1aOffset)
         h *= kFnv1aPrime;
     }
     return h;
+}
+
+/** splitmix64 finalizer: one well-mixed word per counter value. */
+inline std::uint64_t
+splitmix64(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
 }
 
 /** @return @p value as 16 lowercase hex digits (zero-padded). */

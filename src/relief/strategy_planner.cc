@@ -45,6 +45,10 @@ struct Choice {
     Mechanism mechanism = Mechanism::kSwap;
     TimeNs overhead = 0;
     bool covers_peak = false;
+    // Sort keys copied out once (score: bytes per ns of overhead).
+    double score = 0.0;
+    BlockId block = kInvalidBlock;
+    TimeNs gap_start = 0;
 };
 
 /** Aggregate outcome of one selection, for strategy comparison. */
@@ -201,10 +205,15 @@ select(const std::vector<Candidate> &candidates,
                      c.peer_covers);
         if (best.candidate == nullptr)
             continue;
-        if (best.overhead == 0)
+        best.block = c.block->block;
+        best.gap_start = c.gap_start;
+        if (best.overhead == 0) {
             sel.choices.push_back(best);
-        else
-            paid.push_back(best);
+            continue;
+        }
+        best.score = static_cast<double>(c.block->size) /
+                     static_cast<double>(best.overhead);
+        paid.push_back(best);
     }
 
     // Overhead-bearing candidates: highest bytes/ns first; smaller
@@ -212,19 +221,11 @@ select(const std::vector<Candidate> &candidates,
     // budget, so the scan continues past the first miss.
     std::sort(paid.begin(), paid.end(),
               [](const Choice &a, const Choice &b) {
-                  const double sa =
-                      static_cast<double>(a.candidate->block->size) /
-                      static_cast<double>(a.overhead);
-                  const double sb =
-                      static_cast<double>(b.candidate->block->size) /
-                      static_cast<double>(b.overhead);
-                  if (sa != sb)
-                      return sa > sb;
-                  if (a.candidate->block->block !=
-                      b.candidate->block->block)
-                      return a.candidate->block->block <
-                             b.candidate->block->block;
-                  return a.candidate->gap_start < b.candidate->gap_start;
+                  if (a.score != b.score)
+                      return a.score > b.score;
+                  if (a.block != b.block)
+                      return a.block < b.block;
+                  return a.gap_start < b.gap_start;
               });
     for (const auto &choice : paid) {
         // A serving SLO caps each decision alone: one stall lands
@@ -273,12 +274,11 @@ assemble(const PlanContext &ctx, const StrategyOptions &options,
     std::vector<Choice> ordered = sel.choices;
     std::sort(ordered.begin(), ordered.end(),
               [](const Choice &a, const Choice &b) {
-                  if (a.candidate->gap_start != b.candidate->gap_start)
-                      return a.candidate->gap_start <
-                             b.candidate->gap_start;
-                  return a.candidate->block->block <
-                         b.candidate->block->block;
+                  if (a.gap_start != b.gap_start)
+                      return a.gap_start < b.gap_start;
+                  return a.block < b.block;
               });
+    report.decisions.reserve(ordered.size());
     for (const auto &choice : ordered) {
         const Candidate &c = *choice.candidate;
         ReliefDecision d;
@@ -321,6 +321,7 @@ assemble(const PlanContext &ctx, const StrategyOptions &options,
     // leave both links untouched.
     auto leg_plan = [&](Mechanism mechanism) {
         swap::SwapPlanReport legs;
+        legs.decisions.reserve(report.decisions.size());  // at most
         for (const auto &d : report.decisions) {
             if (d.mechanism != mechanism)
                 continue;
@@ -354,12 +355,11 @@ assemble(const PlanContext &ctx, const StrategyOptions &options,
                                peer_link);
     }
 
-    // Combined occupancy: baseline lifetimes, minus the *scheduled*
-    // swap/peer residency windows, minus the compute-adjusted
-    // recompute absence windows.
-    std::vector<analysis::OccupancyEdge> edges =
-        ctx.timeline.edges();
-    edges.reserve(edges.size() + report.decisions.size() * 2);
+    // Combined occupancy: the timeline's baseline edges merged with
+    // the *scheduled* swap/peer residency windows and the compute-
+    // adjusted recompute absence windows.
+    std::vector<analysis::OccupancyEdge> edges;
+    edges.reserve(report.decisions.size() * 2);
     std::size_t swap_index = 0;
     std::size_t peer_index = 0;
     for (const auto &d : report.decisions) {
@@ -385,8 +385,7 @@ assemble(const PlanContext &ctx, const StrategyOptions &options,
     report.measured_overhead +=
         report.swap_execution.measured_stall +
         report.peer_execution.measured_stall;
-    report.new_peak_bytes =
-        analysis::peak_occupancy(std::move(edges));
+    report.new_peak_bytes = ctx.timeline.peak_with(std::move(edges));
     report.measured_peak_reduction =
         report.original_peak_bytes > report.new_peak_bytes
             ? report.original_peak_bytes - report.new_peak_bytes

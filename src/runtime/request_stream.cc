@@ -7,6 +7,7 @@
 #include "alloc/device_memory.h"
 #include "core/check.h"
 #include "core/format.h"
+#include "core/hash.h"
 #include "core/types.h"
 #include "nn/models.h"
 #include "runtime/engine.h"
@@ -69,16 +70,6 @@ arrival_seed(const std::string &key)
 
 namespace {
 
-/** splitmix64 finalizer: one well-mixed word per counter value. */
-std::uint64_t
-mix(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
 /** @return h reduced to [0, bound] (bound >= 0). */
 TimeNs
 bounded(std::uint64_t h, TimeNs bound)
@@ -98,7 +89,7 @@ gap_for(ArrivalKind kind, std::uint64_t seed, int request,
         TimeNs period)
 {
     const std::uint64_t h =
-        mix(seed ^ static_cast<std::uint64_t>(request));
+        splitmix64(seed ^ static_cast<std::uint64_t>(request));
     switch (kind) {
       case ArrivalKind::kSteady:
         // 80% load, evenly spaced: the queue never builds.

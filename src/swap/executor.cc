@@ -22,17 +22,21 @@ execute_plan(const analysis::TraceView &view,
              sim::LinkScheduler &scheduler)
 {
     const analysis::Timeline &timeline = view.timeline();
+    SwapExecutionResult result;
+    // An empty plan moves nothing: no traffic, no stall, same peak.
+    result.original_peak_bytes = timeline.peak_bytes();
+    result.new_peak_bytes = result.original_peak_bytes;
+    if (plan.decisions.empty())
+        return result;
     std::unordered_map<BlockId, const analysis::BlockLifetime *>
         by_id;
     for (const auto &b : timeline.blocks())
         by_id.emplace(b.block, &b);
 
-    // Baseline occupancy edges, seeded from the shared index.
-    std::vector<analysis::OccupancyEdge> edges = timeline.edges();
-    edges.reserve(edges.size() + plan.decisions.size() * 2);
-
-    SwapExecutionResult result;
-    result.original_peak_bytes = timeline.peak_bytes();
+    // Residency windows of the plan, merged into the shared index's
+    // occupancy edges for the new peak.
+    std::vector<analysis::OccupancyEdge> edges;
+    edges.reserve(plan.decisions.size() * 2);
 
     // The scheduler may carry earlier plans' traffic; snapshot the
     // channel busy times so this result reports only its own.
@@ -160,8 +164,7 @@ execute_plan(const analysis::TraceView &view,
                                         result.h2d_busy_time) /
                         (2.0 * static_cast<double>(span));
 
-    result.new_peak_bytes =
-        analysis::peak_occupancy(std::move(edges));
+    result.new_peak_bytes = timeline.peak_with(std::move(edges));
     result.measured_peak_reduction =
         result.original_peak_bytes > result.new_peak_bytes
             ? result.original_peak_bytes - result.new_peak_bytes

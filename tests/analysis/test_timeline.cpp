@@ -1,10 +1,15 @@
 /** @file Unit tests for Timeline and Gantt rendering. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "analysis/gantt.h"
 #include "analysis/timeline.h"
 #include "analysis/trace_view.h"
 #include "core/check.h"
+#include "core/hash.h"
 
 namespace pinpoint {
 namespace analysis {
@@ -33,6 +38,18 @@ two_block_trace()
     r.record(ev(30, trace::EventKind::kRead, 1, 0x1000, 512));
     r.record(ev(40, trace::EventKind::kFree, 1, 0x1000, 512));
     r.record(ev(90, trace::EventKind::kWrite, 2, 0x2000, 1024));
+    return r;
+}
+
+/** Two 1 KB blocks allocated together; block 1 dies first. */
+trace::TraceRecorder
+two_block_trace_touching()
+{
+    trace::TraceRecorder r;
+    r.record(ev(0, trace::EventKind::kMalloc, 1, 0x1000, 1024));
+    r.record(ev(0, trace::EventKind::kMalloc, 2, 0x2000, 1024));
+    r.record(ev(40, trace::EventKind::kFree, 1, 0x1000, 1024));
+    r.record(ev(90, trace::EventKind::kFree, 2, 0x2000, 1024));
     return r;
 }
 
@@ -113,6 +130,184 @@ TEST(Timeline, RejectsInconsistentTraces)
     trace::TraceRecorder stray_access;
     stray_access.record(ev(0, trace::EventKind::kRead, 9, 0, 512));
     EXPECT_THROW(TraceView(stray_access).timeline(), Error);
+}
+
+using Edges = std::vector<OccupancyEdge>;
+
+/** Seeded draws in [0, bound) from the splitmix64 counter mixer. */
+struct Draws {
+    std::uint64_t counter = 0;
+
+    std::uint64_t operator()(std::uint64_t bound)
+    {
+        return splitmix64(counter++) % bound;
+    }
+};
+
+/** Reference what-if peak: concatenate, sort by (t, delta), scan. */
+std::size_t
+brute_peak(const Timeline &t, Edges edges)
+{
+    for (const auto &b : t.blocks()) {
+        const auto size = static_cast<std::int64_t>(b.size);
+        edges.push_back({b.alloc_time, size});
+        if (b.freed)
+            edges.push_back({b.free_time, -size});
+    }
+    std::sort(edges.begin(), edges.end(),
+              [](const OccupancyEdge &a, const OccupancyEdge &b) {
+                  if (a.t != b.t)
+                      return a.t < b.t;
+                  return a.delta < b.delta;
+              });
+    std::int64_t cur = 0;
+    std::int64_t best = 0;
+    for (const auto &e : edges) {
+        cur += e.delta;
+        best = std::max(best, cur);
+    }
+    return static_cast<std::size_t>(best);
+}
+
+/** One generated block: [alloc, free), or open-ended. */
+struct RandomBlock {
+    TimeNs alloc = 0;
+    TimeNs free = 0;
+    bool freed = false;
+    std::size_t size = 0;
+};
+
+/** Every generated time lies on the 10 ns grid in [0, kHorizon]. */
+constexpr TimeNs kHorizon = 800;
+
+/**
+ * Random lifetimes on a coarse 10 ns grid, so allocs, frees and
+ * window edges collide often.
+ */
+std::vector<RandomBlock>
+random_blocks(std::uint64_t seed)
+{
+    Draws next{seed * 1000};
+    std::vector<RandomBlock> blocks(1 + next(40));
+    for (auto &b : blocks) {
+        b.alloc = 10 * next(50);
+        b.freed = next(5) != 0;
+        b.free = b.alloc + 10 * (1 + next(30));
+        b.size = 256 * (1 + next(64));
+    }
+    return blocks;
+}
+
+/** record_blocks' "leave no block out". */
+constexpr std::size_t kKeepAll = static_cast<std::size_t>(-1);
+
+/** Records @p blocks in time order, leaving out block @p skip. */
+trace::TraceRecorder
+record_blocks(const std::vector<RandomBlock> &blocks,
+              std::size_t skip = kKeepAll)
+{
+    trace::TraceRecorder r;
+    for (TimeNs now = 0; now <= kHorizon; now += 10) {
+        for (std::size_t i = 0; i < blocks.size(); ++i) {
+            const RandomBlock &b = blocks[i];
+            if (i == skip)
+                continue;
+            if (b.alloc == now)
+                r.record(ev(now, trace::EventKind::kMalloc, i, 0, b.size));
+            if (b.freed && b.free == now)
+                r.record(ev(now, trace::EventKind::kFree, i, 0, b.size));
+        }
+    }
+    return r;
+}
+
+TEST(TimelinePeakWith, MatchesBruteForceOnRandomPlans)
+{
+    for (std::uint64_t seed = 0; seed < 300; ++seed) {
+        const TraceView view(record_blocks(random_blocks(seed)));
+        const Timeline &t = view.timeline();
+        ASSERT_EQ(t.peak_with({}), t.peak_bytes()) << seed;
+        ASSERT_EQ(t.peak_with({}), brute_peak(t, {})) << seed;
+
+        // Residency windows inside random blocks' lifetimes, on the
+        // same grid, so windows open and close exactly where base
+        // edges (and the timeline's start and end) sit.
+        Draws next{seed * 1000 + 500};
+        Edges extra;
+        const std::size_t windows = next(13);
+        for (std::size_t w = 0; w < windows; ++w) {
+            const auto &b = t.blocks()[next(t.blocks().size())];
+            const TimeNs last = b.freed ? b.free_time : t.end();
+            if (last <= b.alloc_time)
+                continue;
+            const TimeNs steps = (last - b.alloc_time) / 10;
+            const TimeNs open = b.alloc_time + 10 * next(steps);
+            const TimeNs width = 10 * (1 + next(steps));
+            const TimeNs close = std::min(open + width, last);
+            const auto size = static_cast<std::int64_t>(b.size);
+            extra.push_back({open, -size});
+            extra.push_back({close, size});
+        }
+        EXPECT_EQ(t.peak_with(extra), brute_peak(t, extra))
+            << "seed " << seed << ", " << extra.size() << " edges";
+    }
+}
+
+TEST(TimelinePeakWith, FreesApplyBeforeAllocsAtEqualTimes)
+{
+    // Blocks 1 and 2 (1 KB each) are allocated at 0; block 1 is
+    // freed at 40. A window keeps block 2 off the device over
+    // [0, 40): it opens on the two allocs and closes on the free.
+    const TraceView view(two_block_trace_touching());
+    const Timeline &t = view.timeline();
+    ASSERT_EQ(t.peak_bytes(), 2048u);
+    const Edges extra = {{40, 1024}, {0, -1024}};
+    // Applied allocs-first, either instant would stack to 2048.
+    EXPECT_EQ(t.peak_with(extra), 1024u);
+    EXPECT_EQ(t.peak_with(extra), brute_peak(t, extra));
+}
+
+TEST(TimelinePeakWith, WindowsAtTheTimelineStartAndEnd)
+{
+    const TraceView view(two_block_trace());
+    const Timeline &t = view.timeline();
+    ASSERT_EQ(t.peak_bytes(), 1536u);
+    ASSERT_EQ(t.start(), 0u);
+    ASSERT_EQ(t.end(), 90u);
+    // Block 1 absent from the first instant: only block 2 remains.
+    const Edges from_start = {{0, -512}, {40, 512}};
+    EXPECT_EQ(t.peak_with(from_start), 1024u);
+    EXPECT_EQ(t.peak_with(from_start), brute_peak(t, from_start));
+    // Block 2 (never freed) off the device until the last event.
+    const Edges to_end = {{20, -1024}, {90, 1024}};
+    EXPECT_EQ(t.peak_with(to_end), 1024u);
+    EXPECT_EQ(t.peak_with(to_end), brute_peak(t, to_end));
+}
+
+TEST(TimelinePeakWith, WholeLifetimeWindowEqualsTheTraceWithoutTheBlock)
+{
+    for (std::uint64_t seed = 0; seed < 100; ++seed) {
+        const auto blocks = random_blocks(seed);
+        const TraceView view(record_blocks(blocks));
+        const Timeline &t = view.timeline();
+        const std::size_t victim = splitmix64(seed) % blocks.size();
+        const auto &b = blocks[victim];
+        if (!b.freed)
+            continue;
+        const auto size = static_cast<std::int64_t>(b.size);
+        const Edges cancel = {{b.alloc, -size}, {b.free, size}};
+        const TraceView without(record_blocks(blocks, victim));
+        EXPECT_EQ(t.peak_with(cancel), without.timeline().peak_bytes())
+            << "seed " << seed;
+        EXPECT_EQ(t.peak_with(cancel), brute_peak(t, cancel));
+    }
+}
+
+TEST(TimelinePeakWith, EmptyTraceHasNoPeak)
+{
+    const TraceView view{trace::TraceRecorder()};
+    EXPECT_EQ(view.timeline().peak_with({}), 0u);
+    EXPECT_EQ(view.timeline().peak_with({{5, 128}, {9, -128}}), 128u);
 }
 
 TEST(Gantt, RowsOverlapWindow)

@@ -194,7 +194,6 @@ TEST(TraceView, TimelineProbesMatchBruteForce)
         EXPECT_EQ(t.live_at(probe).size(), brute_count) << probe;
     }
     EXPECT_EQ(t.peak_bytes(), t.live_bytes_at(t.peak_time()));
-    EXPECT_EQ(t.peak_bytes(), peak_occupancy(t.edges()));
 }
 
 TEST(TraceView, SixteenThreadHammerSharesOneBuild)

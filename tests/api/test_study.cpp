@@ -69,7 +69,9 @@ TEST(Study, OccupancyFacetAgreesWithBreakdownPeak)
     // and the breakdown replay — must land on the same bytes.
     EXPECT_EQ(study.peak_occupancy_bytes(),
               study.breakdown().peak_total);
-    EXPECT_FALSE(study.occupancy_edges().empty());
+    EXPECT_EQ(study.peak_occupancy_bytes(),
+              study.timeline().live_bytes_at(
+                  study.timeline().peak_time()));
 }
 
 TEST(Study, SwapPlanFacetEqualsTheValidationPlan)

@@ -81,6 +81,21 @@ TEST(GoldenOutput, SweepCsvMatchesThePreRefactorCli)
     std::remove(path.c_str());
 }
 
+TEST(GoldenOutput, DataParallelBuddySweepCsvMatchesTheFixture)
+{
+    // The buddy allocator and 2-device rows: the relief columns of a
+    // dp2 row run the peer-leg plan execution and the combined
+    // what-if occupancy peak.
+    const std::string path =
+        testing::TempDir() + "pinpoint_golden_dp_buddy_sweep.csv";
+    run_out({"sweep", "--models", "resnet18,mlp", "--batches", "16",
+             "--allocators", "caching,buddy", "--devices", "1,2",
+             "--iterations", "2", "--jobs", "2", "--quiet", "--csv",
+             path});
+    EXPECT_EQ(read_file(path), golden("sweep_dp_buddy_small.csv"));
+    std::remove(path.c_str());
+}
+
 TEST(GoldenOutput, InferCharacterizeMatchesTheFixture)
 {
     // The serving report is seeded by the spec id, so the same

@@ -190,15 +190,48 @@ TEST(SwapExecutor, SharedSchedulerAccumulatesAcrossPlans)
     EXPECT_EQ(link.transfer_count(), 4u);
 }
 
+/** Pins every field of an empty plan's result: nothing moved. */
+void
+expect_untouched(const SwapExecutionResult &exec)
+{
+    EXPECT_EQ(exec.original_peak_bytes, (512ull + 64ull) << 20);
+    EXPECT_EQ(exec.new_peak_bytes, exec.original_peak_bytes);
+    EXPECT_EQ(exec.measured_peak_reduction, 0u);
+    EXPECT_EQ(exec.d2h_bytes, 0u);
+    EXPECT_EQ(exec.h2d_bytes, 0u);
+    EXPECT_EQ(exec.transfer_time, 0u);
+    EXPECT_EQ(exec.d2h_busy_time, 0u);
+    EXPECT_EQ(exec.h2d_busy_time, 0u);
+    EXPECT_EQ(exec.link_busy_fraction, 0.0);
+    EXPECT_EQ(exec.measured_stall, 0u);
+    EXPECT_EQ(exec.queue_delay, 0u);
+    EXPECT_EQ(exec.executed_decisions, 0u);
+    EXPECT_TRUE(exec.swaps.empty());
+}
+
 TEST(SwapExecutor, EmptyPlanChangesNothing)
 {
     const analysis::TraceView trace(gap_trace());
-    SwapPlanReport empty;
-    const auto exec = execute_plan(trace, empty, kLink);
-    EXPECT_EQ(exec.executed_decisions, 0u);
-    EXPECT_EQ(exec.new_peak_bytes, exec.original_peak_bytes);
-    EXPECT_EQ(exec.measured_peak_reduction, 0u);
-    EXPECT_EQ(exec.transfer_time, 0u);
+    const SwapPlanReport empty;
+    expect_untouched(execute_plan(trace, empty, kLink));
+    sim::LinkScheduler fresh(kLink.d2h_bps, kLink.h2d_bps);
+    expect_untouched(execute_plan(trace, empty, fresh));
+    EXPECT_EQ(fresh.transfer_count(), 0u);
+
+    // A link already carrying another plan's traffic: the empty
+    // plan reports none of it and adds none.
+    PlannerOptions opts;
+    opts.link = kLink;
+    sim::LinkScheduler loaded(kLink.d2h_bps, kLink.h2d_bps);
+    execute_plan(trace, SwapPlanner(opts).plan(trace), loaded);
+    const std::size_t transfers = loaded.transfer_count();
+    const TimeNs d2h = loaded.busy_time(sim::CopyDir::kDeviceToHost);
+    const TimeNs h2d = loaded.busy_time(sim::CopyDir::kHostToDevice);
+    ASSERT_GT(transfers, 0u);
+    expect_untouched(execute_plan(trace, empty, loaded));
+    EXPECT_EQ(loaded.transfer_count(), transfers);
+    EXPECT_EQ(loaded.busy_time(sim::CopyDir::kDeviceToHost), d2h);
+    EXPECT_EQ(loaded.busy_time(sim::CopyDir::kHostToDevice), h2d);
 }
 
 TEST(SwapExecutor, RejectsForeignDecisions)
