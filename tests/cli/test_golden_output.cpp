@@ -74,11 +74,15 @@ TEST(GoldenOutput, SweepCsvMatchesThePreRefactorCli)
 {
     const std::string path =
         testing::TempDir() + "pinpoint_golden_sweep.csv";
+    const std::string json =
+        testing::TempDir() + "pinpoint_golden_sweep.json";
     run_out({"sweep", "--models", "mlp,resnet18", "--batches", "16",
              "--allocators", "caching,direct", "--iterations", "2",
-             "--jobs", "2", "--quiet", "--csv", path});
+             "--jobs", "2", "--quiet", "--csv", path, "--json", json});
     EXPECT_EQ(read_file(path), golden("sweep_small.csv"));
+    EXPECT_EQ(read_file(json), golden("sweep_small.json"));
     std::remove(path.c_str());
+    std::remove(json.c_str());
 }
 
 TEST(GoldenOutput, DataParallelBuddySweepCsvMatchesTheFixture)
@@ -88,12 +92,16 @@ TEST(GoldenOutput, DataParallelBuddySweepCsvMatchesTheFixture)
     // what-if occupancy peak.
     const std::string path =
         testing::TempDir() + "pinpoint_golden_dp_buddy_sweep.csv";
+    const std::string json =
+        testing::TempDir() + "pinpoint_golden_dp_buddy_sweep.json";
     run_out({"sweep", "--models", "resnet18,mlp", "--batches", "16",
              "--allocators", "caching,buddy", "--devices", "1,2",
              "--iterations", "2", "--jobs", "2", "--quiet", "--csv",
-             path});
+             path, "--json", json});
     EXPECT_EQ(read_file(path), golden("sweep_dp_buddy_small.csv"));
+    EXPECT_EQ(read_file(json), golden("sweep_dp_buddy_small.json"));
     std::remove(path.c_str());
+    std::remove(json.c_str());
 }
 
 TEST(GoldenOutput, InferCharacterizeMatchesTheFixture)
@@ -109,13 +117,17 @@ TEST(GoldenOutput, ServingSweepCsvMatchesTheFixture)
 {
     const std::string path =
         testing::TempDir() + "pinpoint_golden_serving_sweep.csv";
+    const std::string json =
+        testing::TempDir() + "pinpoint_golden_serving_sweep.json";
     run_out({"sweep", "--models", "mlp", "--batches", "8",
              "--allocators", "caching", "--modes", "train,infer",
              "--dtypes", "f32,f16", "--requests", "6",
              "--iterations", "2", "--jobs", "4", "--quiet", "--csv",
-             path});
+             path, "--json", json});
     EXPECT_EQ(read_file(path), golden("sweep_serving_small.csv"));
+    EXPECT_EQ(read_file(json), golden("sweep_serving_small.json"));
     std::remove(path.c_str());
+    std::remove(json.c_str());
 }
 
 TEST(GoldenOutput, RepeatedRunsAreByteIdenticalThroughTheSharedView)
