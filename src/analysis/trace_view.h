@@ -114,8 +114,6 @@ class TraceView
     }
 
     // --- per-kind counts and offsets ------------------------------
-    // Replaces TraceRecorder::count (O(n) rescan per call) and the
-    // per-call copies of TraceRecorder::filter for analysis code.
 
     /** @return count of events of kind @p k. O(1). */
     std::size_t count(trace::EventKind k) const

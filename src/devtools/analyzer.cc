@@ -5,7 +5,6 @@
 #include <fstream>
 #include <map>
 #include <ostream>
-#include <regex>
 #include <sstream>
 #include <tuple>
 
@@ -411,73 +410,6 @@ hygiene_pass(const IncludeGraph &graph,
 
 // ----------------------------------------------- suppression audit
 
-/**
- * Pattern-level mirror of one tools/pinpoint_lint.py rule: enough
- * to decide whether a `// lint: allow(<rule>)` still sits on a
- * line its rule matches. The authoritative check lives in the
- * linter's own stale-suppression self-check; this mirror closes
- * the loop from the compiled analyzer's side.
- */
-struct LintRuleMirror {
-    const char *id;
-    /// Path prefix the rule applies under ("" = everywhere).
-    const char *prefix;
-    /// Paths the rule explicitly exempts.
-    std::vector<std::string> exempt;
-    const char *pattern;
-};
-
-const std::vector<LintRuleMirror> &
-lint_mirrors()
-{
-    static const std::vector<LintRuleMirror> mirrors = {
-        {"timeline-construction",
-         "",
-         {"src/analysis/timeline.h", "src/analysis/timeline.cc",
-          "src/analysis/trace_view.cc"},
-         R"(\bnew\s+Timeline\b|\bTimeline\s*[({])"},
-        {"raw-number-parse",
-         "",
-         {"src/core/parse.cc"},
-         R"(std\s*::\s*sto(i|l|ll|ul|ull|f|d|ld)\s*\()"
-         R"(|\b(strtol|strtoll|strtoul|strtoull|strtod|strtof)"
-         R"(|atoi|atol|atoll|atof|sscanf)\s*\()"},
-        {"nondeterminism-source",
-         "src/",
-         {},
-         R"(std\s*::\s*random_device|\brandom_device\b)"
-         R"(|\bs?rand\s*\(|std\s*::\s*time\s*\(|system_clock)"
-         R"(|(^|[^A-Za-z0-9_.>:])time\s*\(\s*(NULL|nullptr|0)?\s*\))"},
-        {"unordered-export-iteration",
-         "src/",
-         {},
-         R"(for\s*\([^;]*:|\.\s*c?begin\s*\()"},
-        {"positional-strategy-index",
-         "",
-         {},
-         R"(\[\s*[0-9]+\s*\])"},
-        {"deprecated-recorder-api",
-         "src/",
-         {},
-         R"(\.\s*(count|filter)\s*\()"},
-        {"inference-plan-purity",
-         "src/runtime/request_stream",
-         {},
-         R"(\bkBackward\b|\bkOptimizer\b|\bemit_backward\b)"
-         R"(|\bemit_optimizer\b|\bsgd_momentum\b)"},
-    };
-    return mirrors;
-}
-
-const LintRuleMirror *
-find_mirror(const std::string &id)
-{
-    for (const LintRuleMirror &m : lint_mirrors())
-        if (id == m.id)
-            return &m;
-    return nullptr;
-}
-
 /** One pending `analyze: allow` awaiting a violation to consume. */
 struct AnalyzeSuppression {
     std::string path;
@@ -492,77 +424,35 @@ audit_pass(const IncludeGraph &graph,
            std::vector<Violation> &raw,
            std::vector<Violation> &out)
 {
+    // `// lint: allow` comments are the linter's to audit (its own
+    // stale-suppression rule); only analyzer suppressions are judged
+    // here.
     std::vector<AnalyzeSuppression> analyze_sups;
     for (const auto &entry : graph.files()) {
         const SourceFile &file = entry.second;
-        const std::vector<std::string> masked_lines =
-            split_lines(file.scan.masked);
-        const auto line_text =
-            [&](int no) -> const std::string & {
-            static const std::string empty;
-            return no >= 1 &&
-                           no <= static_cast<int>(
-                                     masked_lines.size())
-                       ? masked_lines[no - 1]
-                       : empty;
-        };
         for (const SuppressionComment &sup :
              file.scan.suppressions) {
+            if (sup.tool != "analyze")
+                continue;
             std::set<int> lines = {sup.line};
             if (sup.standalone)
                 lines.insert(sup.line + 1);
             for (const std::string &id : sup.ids) {
-                if (sup.tool == "analyze") {
-                    const auto &known = check_ids();
-                    if (std::find(known.begin(), known.end(),
-                                  id) == known.end()) {
-                        add(out, "stale-suppression", file.path,
-                            sup.line,
-                            "suppression names unknown analyzer "
-                            "check '" +
-                                id + "'");
-                        continue;
-                    }
-                    AnalyzeSuppression pending;
-                    pending.path = file.path;
-                    pending.check = id;
-                    pending.lines = lines;
-                    pending.comment_line = sup.line;
-                    analyze_sups.push_back(std::move(pending));
-                    continue;
-                }
-                // lint suppression: mirror the rule's pattern.
-                if (id == "stale-suppression")
-                    continue;  // only the linter can judge this
-                const LintRuleMirror *mirror = find_mirror(id);
-                if (mirror == nullptr) {
+                const auto &known = check_ids();
+                if (std::find(known.begin(), known.end(), id) ==
+                    known.end()) {
                     add(out, "stale-suppression", file.path,
                         sup.line,
-                        "suppression names unknown lint rule '" +
+                        "suppression names unknown analyzer check '" +
                             id + "'");
                     continue;
                 }
-                bool applies =
-                    file.path.compare(0,
-                                      std::string(mirror->prefix)
-                                          .size(),
-                                      mirror->prefix) == 0;
-                for (const std::string &exempt : mirror->exempt)
-                    if (file.path == exempt)
-                        applies = false;
-                bool live = false;
-                if (applies) {
-                    const std::regex re(mirror->pattern);
-                    for (int no : lines)
-                        if (std::regex_search(line_text(no), re))
-                            live = true;
-                }
-                if (!live)
-                    add(out, "stale-suppression", file.path,
-                        sup.line,
-                        "lint rule '" + std::string(id) +
-                            "' no longer matches the suppressed "
-                            "line; remove the allow comment");
+                AnalyzeSuppression pending;
+                pending.path = file.path;
+                pending.check = id;
+                pending.lines = lines;
+                pending.comment_line = sup.line;
+                analyze_sups.push_back(std::move(pending));
             }
         }
     }

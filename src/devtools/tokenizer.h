@@ -44,8 +44,8 @@ struct DefineDirective {
 /**
  * One `// ... allow(...)` suppression comment. The scanner records
  * every comment matching `<tool>: allow(<ids>)` where tool is
- * `lint` or `analyze`; the suppression-audit pass decides which are
- * stale.
+ * `lint` or `analyze`; the suppression-audit pass judges the
+ * `analyze` ones (the linter audits its own).
  */
 struct SuppressionComment {
     int line = 0;

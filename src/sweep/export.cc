@@ -7,6 +7,7 @@
 #include <functional>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "api/workload.h"
@@ -18,7 +19,6 @@
 #include "runtime/request_stream.h"
 #include "runtime/session.h"
 #include "sweep/driver.h"
-#include "sweep/scenario.h"
 #include "trace/chrome_trace.h"
 
 namespace pinpoint {
@@ -44,7 +44,7 @@ first_line(const std::string &s)
 
 /** Escapes a CSV field (quotes when it contains , " or newline). */
 std::string
-csv_escape(const std::string &s)
+csv_escape(std::string s)
 {
     if (s.find_first_of(",\"\n") == std::string::npos)
         return s;
@@ -61,182 +61,367 @@ csv_escape(const std::string &s)
     return out;
 }
 
-/**
- * @return true when any scenario ran more than one replica. The
- * topology columns appear only then, so single-device sweeps stay
- * byte-identical to exports from before the devices axis existed.
- */
-bool
-any_multi_device(const SweepReport &report)
+/** Appends @p s to @p out, backslash-escaped to stay on one line. */
+void
+append_escaped(std::string &out, const std::string &s)
 {
-    for (const auto &r : report.results)
-        if (r.scenario.devices > 1)
-            return true;
-    return false;
+    for (char c : s) {
+        switch (c) {
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          default: out += c;
+        }
+    }
+}
+
+/** Inverse of append_escaped. @throws Error on a malformed escape. */
+std::string
+unescape_value(std::string s)
+{
+    if (s.find('\\') == std::string::npos)
+        return s;
+    std::string out;
+    out.reserve(s.size());
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        if (s[i] != '\\') {
+            out += s[i];
+            continue;
+        }
+        PP_CHECK(i + 1 < s.size(),
+                 "record value ends mid-escape: '" << s << "'");
+        const char c = s[++i];
+        switch (c) {
+          case '\\': out += '\\'; break;
+          case 'n': out += '\n'; break;
+          case 'r': out += '\r'; break;
+          default:
+              PP_CHECK(false,
+                       "unknown record escape '\\" << c << "'");
+        }
+    }
+    return out;
 }
 
 /**
- * @return true when any scenario leaves the train/f32 default. The
- * mode/dtype/serving columns appear only then, so train-only sweeps
- * stay byte-identical to exports from before the serving axis
- * existed.
+ * @return the unescaped value of record line @p index, which must
+ * read "<name>=...". @throws Error otherwise.
  */
-bool
-any_inference(const SweepReport &report)
+std::string
+record_value(const std::string &line, const char *name,
+             std::size_t index)
 {
-    for (const auto &r : report.results)
-        if (r.scenario.mode == runtime::SessionMode::kInfer ||
-            r.scenario.dtype != DType::kF32)
-            return true;
-    return false;
+    const std::size_t name_len = std::strlen(name);
+    PP_CHECK(line.size() > name_len &&
+                 line.compare(0, name_len, name) == 0 &&
+                 line[name_len] == '=',
+             "record line " << index << " is not '" << name
+                            << "=...': '" << line << "'");
+    return unescape_value(line.substr(name_len + 1));
 }
+
+// --- The result schema -------------------------------------------
+
+/**
+ * Column groups. Base columns are always exported; the other groups
+ * appear only when some row needs them, so single-device and
+ * train-only sweeps stay byte-identical to exports from before the
+ * devices and serving axes existed.
+ */
+enum class Group { kBase, kMultiDevice, kServing };
+
+/**
+ * How a column's text is rendered and quoted. kText is free text:
+ * the record keeps it whole, the exports keep its first line.
+ */
+enum class Kind { kUnsigned, kInt, kFixed6, kString, kText, kEnum };
+
+/** One exported column of a ScenarioResult. */
+struct Column {
+    const char *name;
+    Group group;
+    Kind kind;
+    /** Renders the value, unescaped. */
+    std::function<std::string(const ScenarioResult &)> get;
+    /**
+     * Parses a record value back into the result. Empty for the
+     * spec-derived columns: the record's one scenario= line carries
+     * the whole WorkloadSpec, so they are export-only.
+     */
+    std::function<void(ScenarioResult &, const std::string &)> set;
+};
+
+template <class T>
+constexpr Kind
+kind_of()
+{
+    if constexpr (std::is_same_v<T, std::string>)
+        return Kind::kString;
+    else if constexpr (std::is_floating_point_v<T>)
+        return Kind::kFixed6;
+    else if constexpr (std::is_signed_v<T>)
+        return Kind::kInt;
+    else
+        return Kind::kUnsigned;
+}
+
+/** Doubles render as format_fixed6, integers in decimal. */
+template <class T>
+std::string
+render(const T &v)
+{
+    if constexpr (std::is_same_v<T, std::string>)
+        return v;
+    else if constexpr (std::is_floating_point_v<T>)
+        return format_fixed6(v);
+    else
+        return std::to_string(v);
+}
+
+/** Inverse of render. @throws Error on an unparseable value. */
+template <class T>
+void
+parse_value(const char *name, const std::string &v, T &out)
+{
+    bool ok = true;
+    if constexpr (std::is_same_v<T, std::string>) {
+        out = v;
+    } else if constexpr (std::is_floating_point_v<T>) {
+        ok = parse_double(v, out);
+    } else if constexpr (std::is_signed_v<T>) {
+        ok = parse_int(v, out);
+    } else {
+        std::uint64_t parsed = 0;
+        ok = parse_uint64(v, parsed);
+        out = static_cast<T>(parsed);
+    }
+    PP_CHECK(ok, "record field " << name << " has a malformed value: '"
+                                 << v << "'");
+}
+
+using R = ScenarioResult;
+using W = api::WorkloadSpec;
+
+/** A ScenarioResult member: exported and carried by the record. */
+template <class T>
+Column
+field(const char *name, T R::*m, Group group = Group::kBase,
+      Kind kind = kind_of<T>())
+{
+    return {name, group, kind,
+            [m](const R &r) { return render(r.*m); },
+            [name, m](R &r, const std::string &v) {
+                parse_value(name, v, r.*m);
+            }};
+}
+
+/** A WorkloadSpec member: export-only. */
+template <class T>
+Column
+spec(const char *name, T W::*m, Group group = Group::kBase)
+{
+    return {name, group, kind_of<T>(),
+            [m](const R &r) { return render(r.scenario.*m); },
+            nullptr};
+}
+
+/** A WorkloadSpec enum, exported by name: export-only. */
+template <class E>
+Column
+spec_enum(const char *name, E W::*m, const char *(*to_name)(E),
+          Group group = Group::kBase)
+{
+    return {name, group, Kind::kEnum,
+            [m, to_name](const R &r) {
+                return std::string(to_name(r.scenario.*m));
+            },
+            nullptr};
+}
+
+/**
+ * The result schema: every exported column, in export order. CSV,
+ * JSON and the record codec are loops over this table, and
+ * result_schema_salt() hashes it, so adding, removing, renaming,
+ * regrouping or reordering a column, or moving it into or out of
+ * the record, retires every on-disk record.
+ */
+const std::vector<Column> &
+columns()
+{
+    static const std::vector<Column> table = [] {
+        const Group multi = Group::kMultiDevice;
+        const Group serving = Group::kServing;
+        return std::vector<Column>{
+            spec("model", &W::model),
+            spec("batch", &W::batch),
+            spec_enum("allocator", &W::allocator,
+                      runtime::allocator_kind_name),
+            spec("device", &W::device),
+            spec("iterations", &W::iterations),
+            {"status", Group::kBase, Kind::kEnum,
+             [](const R &r) {
+                 return std::string(scenario_status_name(r.status));
+             },
+             [](R &r, const std::string &v) {
+                 for (ScenarioStatus s :
+                      {ScenarioStatus::kOk, ScenarioStatus::kOom,
+                       ScenarioStatus::kError}) {
+                     if (v == scenario_status_name(s)) {
+                         r.status = s;
+                         return;
+                     }
+                 }
+                 PP_CHECK(false, "unknown scenario status '" << v
+                                                             << "'");
+             }},
+            field("error", &R::error, Group::kBase, Kind::kText),
+            field("peak_total_bytes", &R::peak_total_bytes),
+            field("peak_input_bytes", &R::peak_input_bytes),
+            field("peak_parameter_bytes", &R::peak_parameter_bytes),
+            field("peak_intermediate_bytes",
+                  &R::peak_intermediate_bytes),
+            field("peak_reserved_bytes", &R::peak_reserved_bytes),
+            field("device_fragmentation", &R::device_fragmentation),
+            field("iteration_time_ns", &R::iteration_time),
+            field("end_time_ns", &R::end_time),
+            field("alloc_count", &R::alloc_count),
+            field("cache_hit_count", &R::cache_hit_count),
+            field("device_alloc_count", &R::device_alloc_count),
+            field("event_count", &R::event_count),
+            field("ati_count", &R::ati_count),
+            field("ati_median_us", &R::ati_median_us),
+            field("ati_p90_us", &R::ati_p90_us),
+            field("ati_max_us", &R::ati_max_us),
+            field("swap_decisions", &R::swap_decisions),
+            field("swap_peak_reduction_bytes",
+                  &R::swap_peak_reduction_bytes),
+            field("swap_total_bytes", &R::swap_total_bytes),
+            field("swap_measured_peak_reduction_bytes",
+                  &R::swap_measured_peak_reduction_bytes),
+            field("swap_predicted_stall_ns",
+                  &R::swap_predicted_stall_ns),
+            field("swap_measured_stall_ns", &R::swap_measured_stall_ns),
+            field("swap_link_busy_fraction",
+                  &R::swap_link_busy_fraction),
+            field("relief_strategy", &R::relief_strategy),
+            field("relief_peak_reduction_bytes",
+                  &R::relief_peak_reduction_bytes),
+            field("relief_overhead_ns", &R::relief_overhead_ns),
+            spec("devices", &W::devices, multi),
+            spec("topology", &W::topology, multi),
+            field("scaling_efficiency", &R::scaling_efficiency, multi),
+            field("interconnect_busy_fraction",
+                  &R::interconnect_busy_fraction, multi),
+            field("allreduce_time_ns", &R::allreduce_time_ns, multi),
+            field("allreduce_stall_ns", &R::allreduce_stall_ns, multi),
+            spec_enum("mode", &W::mode, runtime::session_mode_name,
+                      serving),
+            spec_enum("dtype", &W::dtype, dtype_name, serving),
+            field("requests", &R::requests, serving),
+            spec_enum("arrival", &W::arrival,
+                      runtime::arrival_kind_name, serving),
+            field("latency_p50_ns", &R::latency_p50_ns, serving),
+            field("latency_p90_ns", &R::latency_p90_ns, serving),
+            field("latency_p99_ns", &R::latency_p99_ns, serving),
+            field("latency_max_ns", &R::latency_max_ns, serving),
+        };
+    }();
+    return table;
+}
+
+/** The optional column groups a report shows, decided once. */
+struct Gates {
+    bool multi_device = false;
+    bool serving = false;
+
+    explicit Gates(const SweepReport &report)
+    {
+        for (const auto &r : report.results) {
+            multi_device = multi_device || r.scenario.devices > 1;
+            serving = serving ||
+                      r.scenario.mode == runtime::SessionMode::kInfer ||
+                      r.scenario.dtype != DType::kF32;
+        }
+    }
+
+    bool shows(Group g) const
+    {
+        return g == Group::kBase ||
+               (g == Group::kMultiDevice ? multi_device : serving);
+    }
+};
+
+/** @return the columns @p report exports, in order. */
+std::vector<const Column *>
+exported_columns(const SweepReport &report)
+{
+    const Gates gates(report);
+    std::vector<const Column *> out;
+    for (const Column &c : columns())
+        if (gates.shows(c.group))
+            out.push_back(&c);
+    return out;
+}
+
+/** @return @p c's exported text for @p r (unquoted, unescaped). */
+std::string
+export_text(const Column &c, const ScenarioResult &r)
+{
+    std::string v = c.get(r);
+    if (c.kind == Kind::kText)
+        return first_line(v);
+    return v;
+}
+
+/** The record's first line carries the whole WorkloadSpec. */
+const char *const kScenarioKey = "scenario";
 
 }  // namespace
 
 void
 write_sweep_csv(const SweepReport &report, std::ostream &os)
 {
-    const bool multi = any_multi_device(report);
-    const bool serving = any_inference(report);
-    os << "model,batch,allocator,device,iterations,status,error,"
-          "peak_total_bytes,peak_input_bytes,peak_parameter_bytes,"
-          "peak_intermediate_bytes,peak_reserved_bytes,"
-          "device_fragmentation,iteration_time_ns,end_time_ns,"
-          "alloc_count,cache_hit_count,device_alloc_count,"
-          "event_count,ati_count,ati_median_us,ati_p90_us,ati_max_us,"
-          "swap_decisions,swap_peak_reduction_bytes,swap_total_bytes,"
-          "swap_measured_peak_reduction_bytes,"
-          "swap_predicted_stall_ns,swap_measured_stall_ns,"
-          "swap_link_busy_fraction,"
-          "relief_strategy,relief_peak_reduction_bytes,"
-          "relief_overhead_ns";
-    if (multi)
-        os << ",devices,topology,scaling_efficiency,"
-              "interconnect_busy_fraction,allreduce_time_ns,"
-              "allreduce_stall_ns";
-    if (serving)
-        os << ",mode,dtype,requests,arrival,latency_p50_ns,"
-              "latency_p90_ns,latency_p99_ns,latency_max_ns";
-    os << "\n";
+    const auto cols = exported_columns(report);
+    for (std::size_t i = 0; i < cols.size(); ++i)
+        os << (i ? "," : "") << cols[i]->name;
+    os << '\n';
+    // Rows are assembled in a string and streamed once: one stream
+    // insertion per row instead of several per cell.
+    std::string line;
     for (const auto &r : report.results) {
-        const Scenario &s = r.scenario;
-        os << csv_escape(s.model) << ',' << s.batch << ','
-           << runtime::allocator_kind_name(s.allocator) << ','
-           << csv_escape(s.device) << ',' << s.iterations << ','
-           << scenario_status_name(r.status) << ','
-           << csv_escape(first_line(r.error)) << ','
-           << r.peak_total_bytes << ',' << r.peak_input_bytes << ','
-           << r.peak_parameter_bytes << ','
-           << r.peak_intermediate_bytes << ','
-           << r.peak_reserved_bytes << ','
-           << format_fixed6(r.device_fragmentation) << ','
-           << r.iteration_time << ',' << r.end_time << ','
-           << r.alloc_count << ',' << r.cache_hit_count << ','
-           << r.device_alloc_count << ',' << r.event_count << ','
-           << r.ati_count << ',' << format_fixed6(r.ati_median_us) << ','
-           << format_fixed6(r.ati_p90_us) << ','
-           << format_fixed6(r.ati_max_us) << ',' << r.swap_decisions
-           << ',' << r.swap_peak_reduction_bytes << ','
-           << r.swap_total_bytes << ','
-           << r.swap_measured_peak_reduction_bytes << ','
-           << r.swap_predicted_stall_ns << ','
-           << r.swap_measured_stall_ns << ','
-           << format_fixed6(r.swap_link_busy_fraction) << ','
-           << csv_escape(r.relief_strategy) << ','
-           << r.relief_peak_reduction_bytes << ','
-           << r.relief_overhead_ns;
-        if (multi)
-            os << ',' << s.devices << ',' << csv_escape(s.topology)
-               << ',' << format_fixed6(r.scaling_efficiency) << ','
-               << format_fixed6(r.interconnect_busy_fraction) << ','
-               << r.allreduce_time_ns << ','
-               << r.allreduce_stall_ns;
-        if (serving)
-            os << ',' << runtime::session_mode_name(s.mode) << ','
-               << dtype_name(s.dtype) << ',' << r.requests << ','
-               << runtime::arrival_kind_name(s.arrival) << ','
-               << r.latency_p50_ns << ',' << r.latency_p90_ns << ','
-               << r.latency_p99_ns << ',' << r.latency_max_ns;
-        os << '\n';
+        line.clear();
+        for (std::size_t i = 0; i < cols.size(); ++i) {
+            if (i)
+                line += ',';
+            line += csv_escape(export_text(*cols[i], r));
+        }
+        line += '\n';
+        os << line;
     }
 }
 
 void
 write_sweep_json(const SweepReport &report, std::ostream &os)
 {
-    const bool multi = any_multi_device(report);
-    const bool serving = any_inference(report);
+    const auto cols = exported_columns(report);
     os << "{\n  \"scenarios\": [\n";
+    std::string line;
     for (std::size_t i = 0; i < report.results.size(); ++i) {
-        const auto &r = report.results[i];
-        const Scenario &s = r.scenario;
-        os << "    {\"model\": \"" << trace::json_escape(s.model)
-           << "\", \"batch\": " << s.batch << ", \"allocator\": \""
-           << runtime::allocator_kind_name(s.allocator)
-           << "\", \"device\": \"" << trace::json_escape(s.device)
-           << "\", \"iterations\": " << s.iterations
-           << ", \"status\": \"" << scenario_status_name(r.status)
-           << "\", \"error\": \""
-           << trace::json_escape(first_line(r.error))
-           << "\", \"peak_total_bytes\": " << r.peak_total_bytes
-           << ", \"peak_input_bytes\": " << r.peak_input_bytes
-           << ", \"peak_parameter_bytes\": " << r.peak_parameter_bytes
-           << ", \"peak_intermediate_bytes\": "
-           << r.peak_intermediate_bytes
-           << ", \"peak_reserved_bytes\": " << r.peak_reserved_bytes
-           << ", \"device_fragmentation\": "
-           << format_fixed6(r.device_fragmentation)
-           << ", \"iteration_time_ns\": " << r.iteration_time
-           << ", \"end_time_ns\": " << r.end_time
-           << ", \"alloc_count\": " << r.alloc_count
-           << ", \"cache_hit_count\": " << r.cache_hit_count
-           << ", \"device_alloc_count\": " << r.device_alloc_count
-           << ", \"event_count\": " << r.event_count
-           << ", \"ati_count\": " << r.ati_count
-           << ", \"ati_median_us\": " << format_fixed6(r.ati_median_us)
-           << ", \"ati_p90_us\": " << format_fixed6(r.ati_p90_us)
-           << ", \"ati_max_us\": " << format_fixed6(r.ati_max_us)
-           << ", \"swap_decisions\": " << r.swap_decisions
-           << ", \"swap_peak_reduction_bytes\": "
-           << r.swap_peak_reduction_bytes
-           << ", \"swap_total_bytes\": " << r.swap_total_bytes
-           << ", \"swap_measured_peak_reduction_bytes\": "
-           << r.swap_measured_peak_reduction_bytes
-           << ", \"swap_predicted_stall_ns\": "
-           << r.swap_predicted_stall_ns
-           << ", \"swap_measured_stall_ns\": "
-           << r.swap_measured_stall_ns
-           << ", \"swap_link_busy_fraction\": "
-           << format_fixed6(r.swap_link_busy_fraction)
-           << ", \"relief_strategy\": \""
-           << trace::json_escape(r.relief_strategy)
-           << "\", \"relief_peak_reduction_bytes\": "
-           << r.relief_peak_reduction_bytes
-           << ", \"relief_overhead_ns\": " << r.relief_overhead_ns;
-        if (multi)
-            os << ", \"devices\": " << s.devices
-               << ", \"topology\": \""
-               << trace::json_escape(s.topology)
-               << "\", \"scaling_efficiency\": "
-               << format_fixed6(r.scaling_efficiency)
-               << ", \"interconnect_busy_fraction\": "
-               << format_fixed6(r.interconnect_busy_fraction)
-               << ", \"allreduce_time_ns\": " << r.allreduce_time_ns
-               << ", \"allreduce_stall_ns\": "
-               << r.allreduce_stall_ns;
-        if (serving)
-            os << ", \"mode\": \""
-               << runtime::session_mode_name(s.mode)
-               << "\", \"dtype\": \"" << dtype_name(s.dtype)
-               << "\", \"requests\": " << r.requests
-               << ", \"arrival\": \""
-               << runtime::arrival_kind_name(s.arrival)
-               << "\", \"latency_p50_ns\": " << r.latency_p50_ns
-               << ", \"latency_p90_ns\": " << r.latency_p90_ns
-               << ", \"latency_p99_ns\": " << r.latency_p99_ns
-               << ", \"latency_max_ns\": " << r.latency_max_ns;
-        os << "}"
-           << (i + 1 < report.results.size() ? "," : "") << "\n";
+        line = "    {";
+        for (std::size_t j = 0; j < cols.size(); ++j) {
+            const Column &c = *cols[j];
+            const std::string v = export_text(c, report.results[i]);
+            line += j ? ", \"" : "\"";
+            line += c.name;
+            line += "\": ";
+            if (c.kind == Kind::kString || c.kind == Kind::kText ||
+                c.kind == Kind::kEnum)
+                line += '"' + trace::json_escape(v) + '"';
+            else
+                line += v;
+        }
+        line += i + 1 < report.results.size() ? "},\n" : "}\n";
+        os << line;
     }
     os << "  ],\n  \"summary\": {\"scenarios\": "
        << report.results.size()
@@ -282,16 +467,15 @@ sweep_json_string(const SweepReport &report)
 void
 write_sweep_table(const SweepReport &report, std::ostream &os)
 {
-    const bool multi = any_multi_device(report);
-    const bool serving = any_inference(report);
+    const Gates gates(report);
     os << pad("scenario", 36) << pad("status", 8) << pad("peak", 12)
        << pad("reserved", 12) << pad("iter time", 12)
        << pad("ATI p50", 12) << pad("swap save", 12)
        << pad("meas save", 12) << pad("meas stall", 12)
        << pad("relief", 10) << pad("relief save", 12);
-    if (multi)
+    if (gates.multi_device)
         os << pad("dp eff", 8);
-    if (serving)
+    if (gates.serving)
         os << pad("lat p50", 12) << pad("lat p99", 12);
     os << "\n";
     for (const auto &r : report.results) {
@@ -312,13 +496,13 @@ write_sweep_table(const SweepReport &report, std::ostream &os)
                       10)
                << pad(format_bytes(r.relief_peak_reduction_bytes),
                       12);
-            if (multi) {
+            if (gates.multi_device) {
                 char eff[16];
                 std::snprintf(eff, sizeof eff, "%.3f",
                               r.scaling_efficiency);
                 os << pad(eff, 8);
             }
-            if (serving)
+            if (gates.serving)
                 os << pad(r.requests > 0
                               ? format_time(r.latency_p50_ns)
                               : "-",
@@ -343,265 +527,43 @@ write_sweep_table(const SweepReport &report, std::ostream &os)
 
 // --- ScenarioResult record codec ---------------------------------
 
-namespace {
-
-/** Backslash-escapes a record value so it stays on one line. */
-std::string
-escape_value(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
-
-/** Inverse of escape_value. @throws Error on a malformed escape. */
-std::string
-unescape_value(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] != '\\') {
-            out += s[i];
-            continue;
-        }
-        PP_CHECK(i + 1 < s.size(),
-                 "record value ends mid-escape: '" << s << "'");
-        const char c = s[++i];
-        switch (c) {
-          case '\\': out += '\\'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          default:
-              PP_CHECK(false,
-                       "unknown record escape '\\" << c << "'");
-        }
-    }
-    return out;
-}
-
-/** One codec field: its name plus encode/decode closures. */
-struct RecordField {
-    const char *name;
-    std::function<std::string(const ScenarioResult &)> encode;
-    std::function<void(ScenarioResult &, const std::string &)>
-        decode;
-};
-
-/** Unsigned integral member (std::size_t, std::uint64_t, TimeNs). */
-template <class T>
-RecordField
-uint_field(const char *name, T ScenarioResult::*member)
-{
-    return {name,
-            [member](const ScenarioResult &r) {
-                return std::to_string(r.*member);
-            },
-            [name, member](ScenarioResult &r, const std::string &v) {
-                std::uint64_t parsed = 0;
-                PP_CHECK(parse_uint64(v, parsed),
-                         "record field " << name
-                                         << " is not an unsigned"
-                                            " integer: '"
-                                         << v << "'");
-                r.*member = static_cast<T>(parsed);
-            }};
-}
-
-/** Signed int member. */
-RecordField
-int_field(const char *name, int ScenarioResult::*member)
-{
-    return {name,
-            [member](const ScenarioResult &r) {
-                return std::to_string(r.*member);
-            },
-            [name, member](ScenarioResult &r, const std::string &v) {
-                int parsed = 0;
-                PP_CHECK(parse_int(v, parsed),
-                         "record field "
-                             << name << " is not an integer: '" << v
-                             << "'");
-                r.*member = parsed;
-            }};
-}
-
-/**
- * Double member, rendered with format_fixed6 — the exporters' own
- * format, so a decoded result exports byte-identically.
- */
-RecordField
-dbl_field(const char *name, double ScenarioResult::*member)
-{
-    return {name,
-            [member](const ScenarioResult &r) {
-                return format_fixed6(r.*member);
-            },
-            [name, member](ScenarioResult &r, const std::string &v) {
-                double parsed = 0.0;
-                PP_CHECK(parse_double(v, parsed),
-                         "record field " << name
-                                         << " is not a number: '"
-                                         << v << "'");
-                r.*member = parsed;
-            }};
-}
-
-/** Free-form string member (escaped to stay on one line). */
-RecordField
-str_field(const char *name, std::string ScenarioResult::*member)
-{
-    return {name,
-            [member](const ScenarioResult &r) {
-                return escape_value(r.*member);
-            },
-            [member](ScenarioResult &r, const std::string &v) {
-                r.*member = unescape_value(v);
-            }};
-}
-
-/**
- * The canonical field table — the single place that knows how a
- * ScenarioResult becomes text. Order is the record line order and
- * feeds the schema salt; append, remove, or rename a field and
- * every on-disk record is retired by the salt change.
- */
-const std::vector<RecordField> &
-record_fields()
-{
-    static const std::vector<RecordField> fields = [] {
-        using R = ScenarioResult;
-        std::vector<RecordField> f;
-        f.push_back({"scenario",
-                     [](const R &r) {
-                         return escape_value(r.scenario.to_string());
-                     },
-                     [](R &r, const std::string &v) {
-                         static_cast<api::WorkloadSpec &>(
-                             r.scenario) =
-                             api::WorkloadSpec::from_string(
-                                 unescape_value(v));
-                     }});
-        f.push_back({"status",
-                     [](const R &r) {
-                         return std::string(
-                             scenario_status_name(r.status));
-                     },
-                     [](R &r, const std::string &v) {
-                         for (ScenarioStatus s :
-                              {ScenarioStatus::kOk,
-                               ScenarioStatus::kOom,
-                               ScenarioStatus::kError}) {
-                             if (v == scenario_status_name(s)) {
-                                 r.status = s;
-                                 return;
-                             }
-                         }
-                         PP_CHECK(false, "unknown scenario status '"
-                                             << v << "'");
-                     }});
-        f.push_back(str_field("error", &R::error));
-        f.push_back(
-            uint_field("peak_total_bytes", &R::peak_total_bytes));
-        f.push_back(
-            uint_field("peak_input_bytes", &R::peak_input_bytes));
-        f.push_back(uint_field("peak_parameter_bytes",
-                               &R::peak_parameter_bytes));
-        f.push_back(uint_field("peak_intermediate_bytes",
-                               &R::peak_intermediate_bytes));
-        f.push_back(uint_field("peak_reserved_bytes",
-                               &R::peak_reserved_bytes));
-        f.push_back(dbl_field("device_fragmentation",
-                              &R::device_fragmentation));
-        f.push_back(
-            uint_field("iteration_time_ns", &R::iteration_time));
-        f.push_back(uint_field("end_time_ns", &R::end_time));
-        f.push_back(uint_field("alloc_count", &R::alloc_count));
-        f.push_back(
-            uint_field("cache_hit_count", &R::cache_hit_count));
-        f.push_back(uint_field("device_alloc_count",
-                               &R::device_alloc_count));
-        f.push_back(uint_field("event_count", &R::event_count));
-        f.push_back(uint_field("ati_count", &R::ati_count));
-        f.push_back(dbl_field("ati_median_us", &R::ati_median_us));
-        f.push_back(dbl_field("ati_p90_us", &R::ati_p90_us));
-        f.push_back(dbl_field("ati_max_us", &R::ati_max_us));
-        f.push_back(
-            uint_field("swap_decisions", &R::swap_decisions));
-        f.push_back(uint_field("swap_peak_reduction_bytes",
-                               &R::swap_peak_reduction_bytes));
-        f.push_back(
-            uint_field("swap_total_bytes", &R::swap_total_bytes));
-        f.push_back(
-            uint_field("swap_measured_peak_reduction_bytes",
-                       &R::swap_measured_peak_reduction_bytes));
-        f.push_back(uint_field("swap_predicted_stall_ns",
-                               &R::swap_predicted_stall_ns));
-        f.push_back(uint_field("swap_measured_stall_ns",
-                               &R::swap_measured_stall_ns));
-        f.push_back(dbl_field("swap_link_busy_fraction",
-                              &R::swap_link_busy_fraction));
-        f.push_back(dbl_field("scaling_efficiency",
-                              &R::scaling_efficiency));
-        f.push_back(dbl_field("interconnect_busy_fraction",
-                              &R::interconnect_busy_fraction));
-        f.push_back(
-            uint_field("allreduce_time_ns", &R::allreduce_time_ns));
-        f.push_back(uint_field("allreduce_stall_ns",
-                               &R::allreduce_stall_ns));
-        f.push_back(int_field("requests", &R::requests));
-        f.push_back(
-            uint_field("latency_p50_ns", &R::latency_p50_ns));
-        f.push_back(
-            uint_field("latency_p90_ns", &R::latency_p90_ns));
-        f.push_back(
-            uint_field("latency_p99_ns", &R::latency_p99_ns));
-        f.push_back(
-            uint_field("latency_max_ns", &R::latency_max_ns));
-        f.push_back(
-            str_field("relief_strategy", &R::relief_strategy));
-        f.push_back(uint_field("relief_peak_reduction_bytes",
-                               &R::relief_peak_reduction_bytes));
-        f.push_back(
-            uint_field("relief_overhead_ns", &R::relief_overhead_ns));
-        return f;
-    }();
-    return fields;
-}
-
-}  // namespace
-
 std::size_t
 result_record_lines()
 {
-    return record_fields().size();
+    static const std::size_t lines = [] {
+        std::size_t n = 1;  // the scenario= line
+        for (const Column &c : columns())
+            n += c.set ? 1 : 0;
+        return n;
+    }();
+    return lines;
 }
 
 std::string
 result_schema_salt()
 {
-    std::uint64_t h = kFnv1aOffset;
-    for (const auto &f : record_fields())
-        h = fnv1a64(std::string(f.name) + "\n", h);
+    std::uint64_t h = fnv1a64(std::string(kScenarioKey) + "\n");
+    for (const Column &c : columns())
+        h = fnv1a64(std::string(c.name) + "\t" +
+                        std::to_string(static_cast<int>(c.group)) +
+                        (c.set ? "\trecord\n" : "\n"),
+                    h);
     return to_hex16(h);
 }
 
 std::string
 encode_result_record(const ScenarioResult &result)
 {
-    std::string out;
-    for (const auto &f : record_fields()) {
-        out += f.name;
+    std::string out = kScenarioKey;
+    out += '=';
+    append_escaped(out, result.scenario.to_string());
+    out += '\n';
+    for (const Column &c : columns()) {
+        if (!c.set)
+            continue;
+        out += c.name;
         out += '=';
-        out += f.encode(result);
+        append_escaped(out, c.get(result));
         out += '\n';
     }
     return out;
@@ -611,23 +573,20 @@ ScenarioResult
 decode_result_record(const std::vector<std::string> &lines,
                      std::size_t first)
 {
-    const auto &fields = record_fields();
-    PP_CHECK(first <= lines.size() &&
-                 fields.size() <= lines.size() - first,
-             "record truncated: need " << fields.size()
-                                       << " lines, have "
+    const std::size_t n = result_record_lines();
+    PP_CHECK(first <= lines.size() && n <= lines.size() - first,
+             "record truncated: need " << n << " lines, have "
                                        << lines.size() - first);
     ScenarioResult result;
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-        const RecordField &f = fields[i];
-        const std::string &line = lines[first + i];
-        const std::size_t name_len = std::strlen(f.name);
-        PP_CHECK(line.size() > name_len &&
-                     line.compare(0, name_len, f.name) == 0 &&
-                     line[name_len] == '=',
-                 "record line " << i << " is not '" << f.name
-                                << "=...': '" << line << "'");
-        f.decode(result, line.substr(name_len + 1));
+    static_cast<api::WorkloadSpec &>(result.scenario) =
+        api::WorkloadSpec::from_string(
+            record_value(lines[first], kScenarioKey, 0));
+    std::size_t i = 1;
+    for (const Column &c : columns()) {
+        if (!c.set)
+            continue;
+        c.set(result, record_value(lines[first + i], c.name, i));
+        ++i;
     }
     return result;
 }

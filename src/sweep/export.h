@@ -48,24 +48,28 @@ void write_sweep_table(const SweepReport &report, std::ostream &os);
 // --- ScenarioResult record codec ---------------------------------
 //
 // The one serialization of a ScenarioResult, shared by the result
-// cache and the shard spill files. A record is result_record_lines()
-// text lines, each "field=value" in a fixed field order; values are
-// rendered with the same locale-independent formatting the CSV/JSON
-// exporters use (format_fixed6 for doubles), so a result that
-// round-trips through the codec exports byte-identically to one that
-// never left memory. Every on-disk consumer stamps
-// result_schema_salt() next to its records: the salt hashes the
-// field-name list, so adding, removing, or reordering a field
-// changes the salt and retires every stale record at once instead
-// of silently mis-decoding it.
+// cache and the shard spill files. export.cc holds a single column
+// table (name, group, kind, accessor); the CSV and JSON writers and
+// this codec are each one loop over it. A record is
+// result_record_lines() text lines: "scenario=" + the whole
+// WorkloadSpec, then "name=value" for every column not derived from
+// the spec, in table order. Values use the exporters' own formatting
+// (format_fixed6 for doubles), so a result that round-trips through
+// the codec exports byte-identically to one that never left memory.
+// Every on-disk consumer stamps result_schema_salt() next to its
+// records: the salt hashes every exported column's name and group
+// and whether the record carries it, so adding, removing, renaming,
+// regrouping or reordering a column retires every stale record at
+// once instead of silently mis-decoding it.
 
-/** @return lines per encoded record (one per field). */
+/** @return lines per encoded record (scenario= plus one per field). */
 std::size_t result_record_lines();
 
 /**
- * @return hex-16 hash of the codec's field-name list. Changes
- * whenever the record layout changes; on-disk stores compare it
- * before trusting a record.
+ * @return hex-16 hash of the column table (names, groups, and
+ * which columns the record carries).
+ * Changes whenever an exported column or the record layout changes;
+ * on-disk stores compare it before trusting a record.
  */
 std::string result_schema_salt();
 

@@ -201,10 +201,10 @@ TEST(PaperObservations, TraceIsSelfConsistentAcrossAllocators)
     config.allocator = runtime::AllocatorKind::kDirect;
     const auto direct = runtime::run_training(nn::mlp(), config);
 
-    EXPECT_EQ(caching.trace.count(trace::EventKind::kMalloc),
-              direct.trace.count(trace::EventKind::kMalloc));
-    EXPECT_EQ(caching.trace.count(trace::EventKind::kRead),
-              direct.trace.count(trace::EventKind::kRead));
+    EXPECT_EQ(caching.view().count(trace::EventKind::kMalloc),
+              direct.view().count(trace::EventKind::kMalloc));
+    EXPECT_EQ(caching.view().count(trace::EventKind::kRead),
+              direct.view().count(trace::EventKind::kRead));
     // Caching rounds block sizes up, so peaks may differ slightly
     // but within the rounding slack.
     const auto bc = analysis::occupation_breakdown(caching.view());

@@ -49,8 +49,8 @@ TEST_P(ZooSweep, TrainingRunSatisfiesInvariants)
     const auto r = runtime::run_training(model, config);
 
     // 1. Balanced allocation lifecycle.
-    ASSERT_EQ(r.trace.count(trace::EventKind::kMalloc),
-              r.trace.count(trace::EventKind::kFree));
+    ASSERT_EQ(r.view().count(trace::EventKind::kMalloc),
+              r.view().count(trace::EventKind::kFree));
     ASSERT_EQ(r.alloc_stats.alloc_count, r.alloc_stats.free_count);
 
     // 2. The trace replays consistently.

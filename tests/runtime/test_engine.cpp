@@ -68,8 +68,9 @@ TEST_F(EngineTest, MallocsAndFreesBalanceAfterTeardown)
         engine.run(3);
         engine.teardown();
     }
-    EXPECT_EQ(trace_.count(trace::EventKind::kMalloc),
-              trace_.count(trace::EventKind::kFree));
+    const analysis::TraceView view(trace_);
+    EXPECT_EQ(view.count(trace::EventKind::kMalloc),
+              view.count(trace::EventKind::kFree));
     EXPECT_EQ(alloc_.live_blocks(), 0u);
     EXPECT_EQ(alloc_.stats().allocated_bytes, 0u);
 }

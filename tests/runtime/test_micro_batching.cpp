@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/breakdown.h"
+#include "analysis/trace_view.h"
 #include "core/check.h"
 #include "nn/models.h"
 #include "runtime/plan_builder.h"
@@ -127,8 +128,8 @@ TEST(MicroBatching, EngineRunsKGreaterOne)
     config.iterations = 3;
     config.plan.micro_batches = 2;
     const auto r = run_training(nn::mlp(), config);
-    EXPECT_EQ(r.trace.count(trace::EventKind::kMalloc),
-              r.trace.count(trace::EventKind::kFree));
+    EXPECT_EQ(r.view().count(trace::EventKind::kMalloc),
+              r.view().count(trace::EventKind::kFree));
     // Two loss fetches per iteration → two loss.item read events.
     std::size_t loss_reads = 0;
     for (const auto &e : r.trace.events())

@@ -1,15 +1,22 @@
 /**
  * @file
- * Sweep exporters: stable CSV schema, well-formed JSON, correct
- * escaping, and reproducible bytes.
+ * Sweep exporters and the record codec: stable CSV schema,
+ * well-formed JSON, correct escaping, reproducible bytes, and
+ * seeded round-trip and damaged-record properties of the codec.
  */
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/check.h"
+#include "core/dtype.h"
+#include "core/hash.h"
+#include "runtime/request_stream.h"
+#include "runtime/session.h"
 #include "sweep/driver.h"
 #include "sweep/export.h"
 
@@ -286,6 +293,189 @@ TEST(ResultRecordCodec, DecodeRejectsTamperedRecords)
     auto bad_status = lines;
     bad_status[1] = "status=meh";
     EXPECT_THROW(decode_result_record(bad_status, 0), Error);
+}
+
+/** Seeded draws from the splitmix64 counter mixer. */
+struct Draws {
+    std::uint64_t counter = 0;
+
+    std::uint64_t operator()() { return splitmix64(counter++); }
+
+    std::uint64_t operator()(std::uint64_t bound)
+    {
+        return (*this)() % bound;
+    }
+
+    template <class T, std::size_t N>
+    const T &pick(const T (&options)[N])
+    {
+        return options[(*this)(N)];
+    }
+
+    /** A short string over the characters every format escapes. */
+    std::string text()
+    {
+        static const char alphabet[] = {'a', 'Z', '0', ' ',  ',',
+                                        '"', '\\', '\n', '\r', '='};
+        std::string out;
+        for (std::uint64_t n = (*this)(12); n > 0; --n)
+            out += pick(alphabet);
+        return out;
+    }
+
+    /** A double whose %.6f text round-trips (what the codec keeps). */
+    double number()
+    {
+        const double magnitude = static_cast<double>((*this)(1000000000));
+        return ((*this)(4) == 0 ? -magnitude : magnitude) /
+               static_cast<double>(1 + (*this)(1000000));
+    }
+};
+
+/** A random, decodable result: valid spec, arbitrary payload. */
+ScenarioResult
+random_result(Draws &draw)
+{
+    static const char *const models[] = {"mlp", "resnet18", "alexnet"};
+    static const char *const devices[] = {"titan-x", "a100", "tiny"};
+    static const char *const topologies[] = {"pcie", "nvlink"};
+    static const runtime::AllocatorKind allocators[] = {
+        runtime::AllocatorKind::kCaching,
+        runtime::AllocatorKind::kDirect,
+        runtime::AllocatorKind::kBuddy};
+    static const DType dtypes[] = {DType::kF32, DType::kF16};
+    static const runtime::ArrivalKind arrivals[] = {
+        runtime::ArrivalKind::kSteady, runtime::ArrivalKind::kUniform,
+        runtime::ArrivalKind::kBursty};
+    static const ScenarioStatus statuses[] = {
+        ScenarioStatus::kOk, ScenarioStatus::kOom,
+        ScenarioStatus::kError};
+
+    ScenarioResult r;
+    Scenario &s = r.scenario;
+    s.model = draw.pick(models);
+    s.batch = 1 + static_cast<std::int64_t>(draw(512));
+    s.iterations = 1 + static_cast<int>(draw(9));
+    s.allocator = draw.pick(allocators);
+    s.device = draw.pick(devices);
+    s.topology = draw.pick(topologies);
+    s.dtype = draw.pick(dtypes);
+    s.requests = 1 + static_cast<int>(draw(64));
+    s.arrival = draw.pick(arrivals);
+    if (draw(3) == 0)
+        s.mode = runtime::SessionMode::kInfer;  // single-device only
+    else
+        s.devices = 1 + static_cast<int>(draw(4));
+    r.status = draw.pick(statuses);
+    r.error = draw.text();
+    r.relief_strategy = draw.text();
+    for (std::size_t *v :
+         {&r.peak_total_bytes, &r.peak_input_bytes,
+          &r.peak_parameter_bytes, &r.peak_intermediate_bytes,
+          &r.peak_reserved_bytes, &r.event_count, &r.ati_count,
+          &r.swap_decisions, &r.swap_peak_reduction_bytes,
+          &r.swap_total_bytes, &r.swap_measured_peak_reduction_bytes,
+          &r.relief_peak_reduction_bytes})
+        *v = draw();
+    for (std::uint64_t *v :
+         {&r.iteration_time, &r.end_time, &r.alloc_count,
+          &r.cache_hit_count, &r.device_alloc_count,
+          &r.swap_predicted_stall_ns, &r.swap_measured_stall_ns,
+          &r.allreduce_time_ns, &r.allreduce_stall_ns,
+          &r.latency_p50_ns, &r.latency_p90_ns, &r.latency_p99_ns,
+          &r.latency_max_ns, &r.relief_overhead_ns})
+        *v = draw();
+    for (double *v :
+         {&r.device_fragmentation, &r.ati_median_us, &r.ati_p90_us,
+          &r.ati_max_us, &r.swap_link_busy_fraction,
+          &r.scaling_efficiency, &r.interconnect_busy_fraction})
+        *v = draw.number();
+    r.requests = static_cast<int>(draw(200001)) - 100000;
+    return r;
+}
+
+/** @return a one-row report around @p r. */
+SweepReport
+report_of(const ScenarioResult &r)
+{
+    SweepReport report;
+    report.results.push_back(r);
+    return report;
+}
+
+TEST(ResultRecordCodec, SeededRandomResultsRoundTripAndExportIdentically)
+{
+    Draws draw;
+    SweepReport originals;
+    SweepReport decoded;
+    for (int i = 0; i < 300; ++i) {
+        const ScenarioResult r = random_result(draw);
+        const std::string encoded = encode_result_record(r);
+        const auto lines = split_lines(encoded);
+        ASSERT_EQ(lines.size(), result_record_lines()) << encoded;
+        const ScenarioResult back = decode_result_record(lines, 0);
+        ASSERT_EQ(encode_result_record(back), encoded);
+        // Each row alone (its own column groups) and all rows
+        // together export the same bytes decoded or not.
+        EXPECT_EQ(sweep_csv_string(report_of(back)),
+                  sweep_csv_string(report_of(r)));
+        EXPECT_EQ(sweep_json_string(report_of(back)),
+                  sweep_json_string(report_of(r)));
+        originals.results.push_back(r);
+        decoded.results.push_back(back);
+    }
+    EXPECT_EQ(sweep_csv_string(decoded), sweep_csv_string(originals));
+    EXPECT_EQ(sweep_json_string(decoded), sweep_json_string(originals));
+}
+
+/**
+ * Decodes @p lines; a damaged record must either throw Error or
+ * decode to a result whose encoding is a codec fixed point.
+ * @return true when it decoded.
+ */
+bool
+decodes_to_fixed_point(const std::vector<std::string> &lines)
+{
+    ScenarioResult damaged;
+    try {
+        damaged = decode_result_record(lines, 0);
+    } catch (const Error &) {
+        return false;
+    }
+    const std::string once = encode_result_record(damaged);
+    EXPECT_EQ(encode_result_record(
+                  decode_result_record(split_lines(once), 0)),
+              once);
+    return true;
+}
+
+TEST(ResultRecordCodec, DamagedRecordsThrowOrDecodeToAFixedPoint)
+{
+    Draws draw;
+    draw.counter = 1u << 20;  // a stream apart from the round-trip test
+    std::size_t decoded = 0;
+    std::size_t rejected = 0;
+    for (int i = 0; i < 200; ++i) {
+        const std::string text =
+            encode_result_record(random_result(draw));
+        std::vector<std::vector<std::string>> damaged;
+        damaged.push_back(split_lines(text.substr(0, draw(text.size()))));
+        for (int flips = 0; flips < 3; ++flips) {
+            std::string flipped = text;
+            flipped[draw(text.size())] ^=
+                static_cast<char>(1 + draw(255));
+            damaged.push_back(split_lines(flipped));
+        }
+        auto dropped = split_lines(text);
+        dropped.erase(dropped.begin() +
+                      static_cast<std::ptrdiff_t>(draw(dropped.size())));
+        damaged.push_back(dropped);
+        for (const auto &lines : damaged)
+            ++(decodes_to_fixed_point(lines) ? decoded : rejected);
+    }
+    // Both outcomes occur: the check is not vacuous either way.
+    EXPECT_GT(decoded, 0u);
+    EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 /** @file Unit tests for TraceRecorder. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/check.h"
 #include "trace/recorder.h"
 
@@ -37,31 +39,27 @@ TEST(TraceRecorder, RejectsTimeTravel)
     EXPECT_THROW(r.record(event_at(9)), Error);
 }
 
-TEST(TraceRecorder, CountsByKind)
+TEST(TraceRecorder, KeepsEveryFieldOfEachEvent)
 {
     TraceRecorder r;
-    r.record(event_at(1, EventKind::kMalloc));
-    r.record(event_at(2, EventKind::kWrite));
-    r.record(event_at(3, EventKind::kRead));
-    r.record(event_at(4, EventKind::kRead));
-    r.record(event_at(5, EventKind::kFree));
-    EXPECT_EQ(r.count(EventKind::kRead), 2u);
-    EXPECT_EQ(r.count(EventKind::kMalloc), 1u);
-    EXPECT_EQ(r.count(EventKind::kWrite), 1u);
-    EXPECT_EQ(r.count(EventKind::kFree), 1u);
-}
-
-TEST(TraceRecorder, FilterSelectsMatching)
-{
-    TraceRecorder r;
-    r.record(event_at(1, EventKind::kRead, 7));
-    r.record(event_at(2, EventKind::kRead, 8));
+    r.record(event_at(1, EventKind::kMalloc, 7));
+    r.record(event_at(2, EventKind::kWrite, 8));
     r.record(event_at(3, EventKind::kRead, 7));
-    const auto picked = r.filter(
-        [](const MemoryEvent &e) { return e.block == 7; });
-    ASSERT_EQ(picked.size(), 2u);
-    EXPECT_EQ(picked[0].time, 1u);
-    EXPECT_EQ(picked[1].time, 3u);
+    r.record(event_at(4, EventKind::kRead, 8));
+    r.record(event_at(5, EventKind::kFree, 7));
+    const auto &events = r.events();
+    EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                            [](const MemoryEvent &e) {
+                                return e.kind == EventKind::kRead;
+                            }),
+              2);
+    EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                            [](const MemoryEvent &e) {
+                                return e.block == 7;
+                            }),
+              3);
+    EXPECT_EQ(events[1].kind, EventKind::kWrite);
+    EXPECT_EQ(events[4].block, 7u);
 }
 
 TEST(TraceRecorder, ClearEmptiesAndAllowsReuse)

@@ -43,8 +43,8 @@ TEST(Slice, ResultReplaysThroughAnalyses)
     EXPECT_NO_THROW(analysis::TraceView(window).timeline());
     EXPECT_NO_THROW(analysis::occupation_breakdown(
         analysis::TraceView(window)));
-    EXPECT_EQ(window.count(EventKind::kMalloc),
-              window.count(EventKind::kFree))
+    const analysis::TraceView view(window);
+    EXPECT_EQ(view.count(EventKind::kMalloc), view.count(EventKind::kFree))
         << "open blocks must be closed";
 }
 

@@ -9,8 +9,8 @@
  *   2. IWYU-lite (unused includes, transitive-only use)
  *   3. header hygiene (#pragma once, using-namespace, ../ paths,
  *      computed includes)
- *   4. suppression audit (`// analyze: allow(...)` and
- *      `// lint: allow(...)` comments that shield nothing fail)
+ *   4. suppression audit (`// analyze: allow(...)` comments that
+ *      shield nothing fail; the linter audits its own allows)
  *
  * Exit codes follow the repo contract: 0 clean, 1 violations or
  * self-test failure, 2 usage/configuration error.

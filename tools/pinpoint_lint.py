@@ -327,44 +327,6 @@ class PositionalStrategyIndexRule(Rule):
         return hits
 
 
-class DeprecatedRecorderApiRule(Rule):
-    rule_id = "deprecated-recorder-api"
-    rationale = (
-        "TraceRecorder::count/filter rescan or copy the whole event "
-        "list per call; src/ reads the TraceView's cached per-kind "
-        "counts (view.count) and indices_of instead (PR 5)"
-    )
-    DECL_RE = re.compile(
-        r"(?:trace\s*::\s*)?TraceRecorder\s*&?\s*(\w+)\s*[;,)=({]"
-    )
-
-    def applies_to(self, rel):
-        # tests/trace exercises the deprecated surface on purpose;
-        # production code in src/ must not.
-        return _in_dirs(rel, ["src"])
-
-    def check(self, rel, raw_lines, masked_lines):
-        text = "\n".join(masked_lines)
-        names = set(self.DECL_RE.findall(text))
-        names.discard("")
-        if not names:
-            return []
-        alt = "|".join(sorted(re.escape(n) for n in names))
-        call_re = re.compile(rf"\b({alt})\s*\.\s*(count|filter)\s*\(")
-        hits = []
-        for no, line in enumerate(masked_lines, 1):
-            m = call_re.search(line)
-            if m:
-                hits.append(
-                    (
-                        no,
-                        f"deprecated TraceRecorder::{m.group(2)} on "
-                        f"'{m.group(1)}' in src/",
-                    )
-                )
-        return hits
-
-
 class InferencePlanPurityRule(Rule):
     rule_id = "inference-plan-purity"
     rationale = (
@@ -402,9 +364,10 @@ class InferencePlanPurityRule(Rule):
 class ResultFieldSerializationRule(Rule):
     rule_id = "result-field-serialization"
     rationale = (
-        "ScenarioResult has exactly one serialization — the field "
-        "table in src/sweep/export.cc (exporters + record codec, "
-        "schema salt, %.6f doubles); streaming a metric field "
+        "ScenarioResult has exactly one serialization — the column "
+        "table in src/sweep/export.cc, which the CSV and JSON "
+        "writers and the record codec each loop over (schema salt "
+        "over every column, %.6f doubles); streaming a metric field "
         "anywhere else in src/ creates a second byte format the "
         "cache and spill files cannot invalidate"
     )
@@ -514,7 +477,6 @@ RULES = [
     NondeterminismSourceRule(),
     UnorderedExportIterationRule(),
     PositionalStrategyIndexRule(),
-    DeprecatedRecorderApiRule(),
     InferencePlanPurityRule(),
     ResultFieldSerializationRule(),
     StaleSuppressionRule(),
