@@ -44,7 +44,7 @@ main()
         PP_CHECK(equal, "Study ATI facet diverged from direct "
                         "extraction");
     }
-    // One shared trace index per run: the ATI scans walk frozen
+    // One shared trace index per run: the ATI scans walk sealed
     // columns, so at most the facets' single Timeline build exists.
     bench::ViewBuildTally tally;
     tally.record(study, 0, 1);

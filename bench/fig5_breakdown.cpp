@@ -65,7 +65,7 @@ main()
                 hygiene_checked = true;
             }
             // One shared trace index per scenario: the breakdown
-            // walks the frozen columns and must never have forced
+            // walks the sealed columns and must never have forced
             // more than the facets' single Timeline build.
             tally.record(study, 0, 1);
             auto cell = [&](Category c) {

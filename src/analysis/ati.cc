@@ -48,7 +48,7 @@ compute_atis(const TraceView &view, const AtiOptions &options)
             s.at_time = view.time(i);
             s.category = view.category(i);
             s.op = view.op(i);
-            out.push_back(std::move(s));
+            out.push_back(s);
         }
         last[block] = view.time(i);
         if (kind == trace::EventKind::kFree)
@@ -63,7 +63,8 @@ attribute_atis(const std::vector<AtiSample> &atis)
     std::map<std::string, std::vector<double>> groups;
     for (const auto &s : atis) {
         const auto dot = s.op.find('.');
-        groups[s.op.substr(0, dot)].push_back(to_us(s.interval));
+        groups[std::string(s.op.substr(0, dot))].push_back(
+            to_us(s.interval));
     }
     std::vector<AtiAttribution> out;
     for (auto &[prefix, values] : groups) {

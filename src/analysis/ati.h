@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/types.h"
@@ -28,8 +29,12 @@ struct AtiSample {
     /** Timestamp of the closing access. */
     TimeNs at_time = 0;
     Category category = Category::kIntermediate;
-    /** Name of the op issuing the closing access (attribution). */
-    std::string op;
+    /**
+     * Name of the op issuing the closing access (attribution). Views
+     * the interned name in the TraceView the sample was computed
+     * from, so it is valid only as long as that view lives.
+     */
+    std::string_view op;
 };
 
 /** Options for ATI extraction. */

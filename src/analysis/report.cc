@@ -61,11 +61,12 @@ write_report(const TraceView &view, std::ostream &os,
        << pattern.iterations << " iterations\n";
 
     heading(os, "access time intervals (Fig. 3)");
-    const auto atis = compute_atis(view);
+    // The view's once-built ATIs and summary, shared with api::Study.
+    const auto &atis = view.atis();
     if (atis.empty()) {
         os << "no ATI samples (trace too short)\n";
     } else {
-        const auto s = summarize(ati_microseconds(atis));
+        const SummaryStats &s = view.ati_summary();
         os << s.count << " samples: median "
            << format_time(static_cast<TimeNs>(s.median * kNsPerUs))
            << ", p90 "

@@ -32,7 +32,7 @@ class TraceView;
  * Samples per-category occupancy at every alloc/free edge of
  * @p view's trace (exact, no interpolation). When @p max_points
  * > 0 the series is thinned to at most that many points while always
- * keeping the global peak sample. One pass over the frozen columns:
+ * keeping the global peak sample. One pass over the sealed columns:
  * O(n + m) for n events and m emitted points.
  */
 std::vector<OccupancyPoint>

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "analysis/ati.h"
 #include "analysis/iteration.h"
 #include "analysis/producers.h"
+#include "analysis/stats.h"
 #include "analysis/timeline.h"
 #include "core/check.h"
 #include "core/types.h"
@@ -15,44 +17,8 @@ namespace pinpoint {
 namespace analysis {
 
 TraceView::TraceView(const trace::TraceRecorder &recorder)
+    : cols_(recorder.share())
 {
-    const auto &events = recorder.events();
-    const std::size_t n = events.size();
-    time_.reserve(n);
-    kind_.reserve(n);
-    block_.reserve(n);
-    ptr_.reserve(n);
-    size_.reserve(n);
-    tensor_.reserve(n);
-    category_.reserve(n);
-    iteration_.reserve(n);
-    op_index_.reserve(n);
-    op_id_.reserve(n);
-
-    std::unordered_map<std::string, std::uint32_t> interned;
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto &e = events[i];
-        time_.push_back(e.time);
-        kind_.push_back(e.kind);
-        block_.push_back(e.block);
-        ptr_.push_back(e.ptr);
-        size_.push_back(e.size);
-        tensor_.push_back(e.tensor);
-        category_.push_back(e.category);
-        iteration_.push_back(e.iteration);
-        op_index_.push_back(e.op_index);
-        const auto it = interned.find(e.op);
-        if (it != interned.end()) {
-            op_id_.push_back(it->second);
-        } else {
-            const auto id = static_cast<std::uint32_t>(op_names_.size());
-            interned.emplace(e.op, id);
-            op_names_.push_back(e.op);
-            op_id_.push_back(id);
-        }
-        by_kind_[static_cast<std::size_t>(e.kind)].push_back(i);
-    }
-    events_walked_.fetch_add(n, std::memory_order_relaxed);
 }
 
 std::unique_ptr<const Timeline>
@@ -68,43 +34,43 @@ TraceView::build_timeline() const
     const std::size_t n = size();
     if (n == 0)
         return t;
-    t->start_ = time_.front();
-    t->end_ = time_.back();
+    t->start_ = cols_->time.front();
+    t->end_ = cols_->time.back();
 
     std::unordered_map<BlockId, std::size_t> open;  // block → index
     for (std::size_t i = 0; i < n; ++i) {
-        switch (kind_[i]) {
+        switch (kind(i)) {
           case trace::EventKind::kMalloc: {
-            PP_CHECK(!open.count(block_[i]),
-                     "malloc of already-live block " << block_[i]);
+            PP_CHECK(!open.count(block(i)),
+                     "malloc of already-live block " << block(i));
             BlockLifetime b;
-            b.block = block_[i];
-            b.ptr = ptr_[i];
-            b.size = size_[i];
-            b.category = category_[i];
-            b.tensor = tensor_[i];
-            b.alloc_iteration = iteration_[i];
-            b.alloc_time = time_[i];
-            open.emplace(block_[i], t->blocks_.size());
+            b.block = block(i);
+            b.ptr = ptr(i);
+            b.size = event_size(i);
+            b.category = category(i);
+            b.tensor = tensor(i);
+            b.alloc_iteration = iteration(i);
+            b.alloc_time = time(i);
+            open.emplace(block(i), t->blocks_.size());
             t->blocks_.push_back(std::move(b));
             break;
           }
           case trace::EventKind::kFree: {
-            auto it = open.find(block_[i]);
+            auto it = open.find(block(i));
             PP_CHECK(it != open.end(),
-                     "free of unknown block " << block_[i]);
+                     "free of unknown block " << block(i));
             BlockLifetime &b = t->blocks_[it->second];
-            b.free_time = time_[i];
+            b.free_time = time(i);
             b.freed = true;
             open.erase(it);
             break;
           }
           case trace::EventKind::kRead:
           case trace::EventKind::kWrite: {
-            auto it = open.find(block_[i]);
+            auto it = open.find(block(i));
             PP_CHECK(it != open.end(),
-                     "access to unallocated block " << block_[i]);
-            t->blocks_[it->second].accesses.push_back(time_[i]);
+                     "access to unallocated block " << block(i));
+            t->blocks_[it->second].accesses.push_back(time(i));
             break;
           }
         }
@@ -180,6 +146,31 @@ TraceView::iteration_pattern() const
     return *pattern_;
 }
 
+void
+TraceView::build_atis() const
+{
+    atis_once_.call([&] {
+        atis_ = compute_atis(*this);
+        ati_summary_ = summarize(ati_microseconds(atis_));
+        ati_builds_.fetch_add(1, std::memory_order_relaxed);
+        events_walked_.fetch_add(size(), std::memory_order_relaxed);
+    });
+}
+
+const std::vector<AtiSample> &
+TraceView::atis() const
+{
+    build_atis();
+    return atis_;
+}
+
+const SummaryStats &
+TraceView::ati_summary() const
+{
+    build_atis();
+    return ati_summary_;
+}
+
 TraceViewStats
 TraceView::build_stats() const
 {
@@ -187,6 +178,7 @@ TraceView::build_stats() const
     s.timeline_builds = timeline_builds_.load(std::memory_order_relaxed);
     s.producer_builds = producer_builds_.load(std::memory_order_relaxed);
     s.pattern_builds = pattern_builds_.load(std::memory_order_relaxed);
+    s.ati_builds = ati_builds_.load(std::memory_order_relaxed);
     s.events_walked = events_walked_.load(std::memory_order_relaxed);
     return s;
 }

@@ -5,21 +5,23 @@
  *
  * The paper's whole method is "record one memory-event trace, then
  * derive every characterization from it". A TraceView is that trace
- * frozen once per run: the event sequence in columnar (SoA) storage
- * plus every expensive derived index — the block Timeline, the
- * recompute producer index, the iteration pattern — each built
- * lazily, exactly once, behind a core OnceFlag, and shared by
- * reference with the analysis, swap, relief, runtime, and api
- * layers. Before this class existed the per-block index was rebuilt
- * from scratch at five independent sites on a single `relief` run;
- * now the invariant is *one build per run*, and build_stats() makes
- * it checkable from benches and tests.
+ * sealed once per run: the recorder already stores its events in
+ * columnar (SoA) form, and the view takes shared ownership of those
+ * columns instead of copying them. On top of them it keeps every
+ * expensive derived index — the block Timeline, the recompute
+ * producer index, the iteration pattern, the default ATIs and their
+ * summary — each built lazily, exactly once, behind a core OnceFlag,
+ * and shared by reference with the analysis, swap, relief, runtime,
+ * and api layers. The invariant is *one build per run*, and
+ * build_stats() makes it checkable from benches and tests.
  *
  * Invariants:
  *   - A TraceView never mutates after construction; every accessor
  *     is const and safe to call from many threads concurrently.
- *   - The view owns its storage: the TraceRecorder it was built
- *     from may be cleared or destroyed afterwards.
+ *   - The view co-owns its storage: the TraceRecorder it was sealed
+ *     from may be written to, cleared or destroyed afterwards (the
+ *     recorder copies its columns before writing while a view
+ *     shares them).
  *   - Each sub-index is built at most once (OnceFlag);
  *     concurrent first accessors share one computation.
  *   - TraceView is neither copyable nor movable — share it by
@@ -28,7 +30,6 @@
  */
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -36,8 +37,10 @@
 #include <string>
 #include <vector>
 
+#include "analysis/ati.h"
 #include "analysis/iteration.h"
 #include "analysis/producers.h"
+#include "analysis/stats.h"
 #include "analysis/timeline.h"
 #include "core/once.h"
 #include "core/types.h"
@@ -59,16 +62,19 @@ struct TraceViewStats {
     std::size_t producer_builds = 0;
     /** Iteration-pattern detections. */
     std::size_t pattern_builds = 0;
+    /** Default-option ATI builds (samples plus their summary). */
+    std::size_t ati_builds = 0;
     /**
-     * Events scanned across the SoA freeze and every sub-index
-     * build (the freeze itself contributes one full walk).
+     * Events scanned across every sub-index build. The seal walks
+     * none: it shares the recorder's columns.
      */
     std::size_t events_walked = 0;
 
     /** @return total sub-index builds. */
     std::size_t index_builds() const
     {
-        return timeline_builds + producer_builds + pattern_builds;
+        return timeline_builds + producer_builds + pattern_builds +
+               ati_builds;
     }
 };
 
@@ -81,7 +87,7 @@ class TraceView
 {
   public:
     /**
-     * Freezes @p recorder's events into columnar storage. O(n); the
+     * Seals @p recorder's events: shares its columns, O(1). The
      * recorder is not retained.
      */
     explicit TraceView(const trace::TraceRecorder &recorder);
@@ -90,27 +96,45 @@ class TraceView
     TraceView &operator=(const TraceView &) = delete;
 
     /** @return number of events in the snapshot. */
-    std::size_t size() const { return time_.size(); }
+    std::size_t size() const { return cols_->rows(); }
 
     /** @return true when the snapshot holds no events. */
-    bool empty() const { return time_.empty(); }
+    bool empty() const { return size() == 0; }
+
+    /**
+     * @return true while @p recorder still holds exactly the events
+     * this view sealed (it has not been written to since). O(1).
+     */
+    bool seals(const trace::TraceRecorder &recorder) const
+    {
+        return recorder.share() == cols_;
+    }
 
     // --- columnar event access ------------------------------------
 
-    TimeNs time(std::size_t i) const { return time_[i]; }
-    trace::EventKind kind(std::size_t i) const { return kind_[i]; }
-    BlockId block(std::size_t i) const { return block_[i]; }
-    DevPtr ptr(std::size_t i) const { return ptr_[i]; }
-    std::size_t event_size(std::size_t i) const { return size_[i]; }
-    TensorId tensor(std::size_t i) const { return tensor_[i]; }
-    Category category(std::size_t i) const { return category_[i]; }
-    std::uint32_t iteration(std::size_t i) const { return iteration_[i]; }
-    std::int32_t op_index(std::size_t i) const { return op_index_[i]; }
+    TimeNs time(std::size_t i) const { return cols_->time[i]; }
+    trace::EventKind kind(std::size_t i) const { return cols_->kind[i]; }
+    BlockId block(std::size_t i) const { return cols_->block[i]; }
+    DevPtr ptr(std::size_t i) const { return cols_->ptr[i]; }
+    std::size_t event_size(std::size_t i) const { return cols_->size[i]; }
+    TensorId tensor(std::size_t i) const { return cols_->tensor[i]; }
+    Category category(std::size_t i) const { return cols_->category[i]; }
+    std::uint32_t iteration(std::size_t i) const
+    {
+        return cols_->iteration[i];
+    }
+    std::int32_t op_index(std::size_t i) const
+    {
+        return cols_->op_index[i];
+    }
 
-    /** @return the (interned) op name of event @p i. */
+    /**
+     * @return the (interned) op name of event @p i; the reference
+     * lives as long as the view.
+     */
     const std::string &op(std::size_t i) const
     {
-        return op_names_[op_id_[i]];
+        return cols_->op_names[cols_->op_id[i]];
     }
 
     // --- per-kind counts and offsets ------------------------------
@@ -118,7 +142,7 @@ class TraceView
     /** @return count of events of kind @p k. O(1). */
     std::size_t count(trace::EventKind k) const
     {
-        return by_kind_[static_cast<std::size_t>(k)].size();
+        return indices_of(k).size();
     }
 
     /**
@@ -127,7 +151,7 @@ class TraceView
      */
     const std::vector<std::size_t> &indices_of(trace::EventKind k) const
     {
-        return by_kind_[static_cast<std::size_t>(k)];
+        return cols_->by_kind[static_cast<std::size_t>(k)];
     }
 
     // --- lazy cached sub-indices ----------------------------------
@@ -147,28 +171,24 @@ class TraceView
     /** @return the iterative-pattern verdict, built once. */
     const IterationPattern &iteration_pattern() const;
 
+    /**
+     * @return compute_atis(*this) for the default AtiOptions, built
+     * once together with ati_summary().
+     */
+    const std::vector<AtiSample> &atis() const;
+
+    /** @return summary statistics of atis() in microseconds. */
+    const SummaryStats &ati_summary() const;
+
     /** @return a snapshot of the build/work counters. */
     TraceViewStats build_stats() const;
 
   private:
     std::unique_ptr<const Timeline> build_timeline() const;
+    void build_atis() const;
 
-    // Frozen event columns (SoA).
-    std::vector<TimeNs> time_;
-    std::vector<trace::EventKind> kind_;
-    std::vector<BlockId> block_;
-    std::vector<DevPtr> ptr_;
-    std::vector<std::size_t> size_;
-    std::vector<TensorId> tensor_;
-    std::vector<Category> category_;
-    std::vector<std::uint32_t> iteration_;
-    std::vector<std::int32_t> op_index_;
-    /** Per-event index into op_names_. */
-    std::vector<std::uint32_t> op_id_;
-    /** Interned op names, in first-appearance order. */
-    std::vector<std::string> op_names_;
-    /** Event indices per kind, in trace order. */
-    std::array<std::vector<std::size_t>, 4> by_kind_{};
+    /** The sealed event columns, shared with the recorder. */
+    std::shared_ptr<const trace::EventColumns> cols_;
 
     // Lazy sub-indices. A failed build (inconsistent trace) leaves
     // the slot empty and the accessor rethrows on the next call.
@@ -178,10 +198,14 @@ class TraceView
     mutable std::unique_ptr<const ProducerIndex> producers_;
     mutable OnceFlag pattern_once_;
     mutable std::unique_ptr<const IterationPattern> pattern_;
+    mutable OnceFlag atis_once_;
+    mutable std::vector<AtiSample> atis_;
+    mutable SummaryStats ati_summary_;
 
     mutable std::atomic<std::size_t> timeline_builds_{0};
     mutable std::atomic<std::size_t> producer_builds_{0};
     mutable std::atomic<std::size_t> pattern_builds_{0};
+    mutable std::atomic<std::size_t> ati_builds_{0};
     mutable std::atomic<std::size_t> events_walked_{0};
 };
 

@@ -28,12 +28,6 @@ namespace api {
  * behind the Study's facets_ pointer and is written exactly once.
  */
 struct Study::Facets {
-    OnceFlag atis_once;
-    std::vector<analysis::AtiSample> atis;
-
-    OnceFlag ati_summary_once;
-    analysis::SummaryStats ati_summary;
-
     OnceFlag breakdown_once;
     analysis::BreakdownResult breakdown;
 
@@ -172,20 +166,13 @@ Study::peak_occupancy_bytes() const
 const std::vector<analysis::AtiSample> &
 Study::atis() const
 {
-    facets_->atis_once.call([&] {
-        facets_->atis = analysis::compute_atis(result().view());
-    });
-    return facets_->atis;
+    return result().view().atis();
 }
 
 const analysis::SummaryStats &
 Study::ati_summary() const
 {
-    facets_->ati_summary_once.call([&] {
-        facets_->ati_summary = analysis::summarize(
-            analysis::ati_microseconds(atis()));
-    });
-    return facets_->ati_summary;
+    return result().view().ati_summary();
 }
 
 const analysis::BreakdownResult &

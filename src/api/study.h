@@ -9,8 +9,9 @@
  * computed-once, cached facets*.
  *
  * Every facet is a projection of the result's single
- * analysis::TraceView (view()): the timeline, producer index, and
- * iteration pattern are the view's own cached sub-indices, and the
+ * analysis::TraceView (view()): the timeline, producer index,
+ * iteration pattern and default ATIs (with their summary) are the
+ * view's own cached sub-indices, and the
  * swap/relief facets plan against them — one trace index per run,
  * shared across all five layers.
  *
@@ -251,10 +252,16 @@ class Study
     /** @return the peak of the running occupancy sum. */
     std::size_t peak_occupancy_bytes() const;
 
-    /** @return every ATI sample, in trace order. */
+    /**
+     * @return every ATI sample, in trace order — the view's cached
+     * default-option ATIs.
+     */
     const std::vector<analysis::AtiSample> &atis() const;
 
-    /** @return summary statistics of the ATIs in microseconds. */
+    /**
+     * @return summary statistics of the ATIs in microseconds, built
+     * with atis().
+     */
     const analysis::SummaryStats &ati_summary() const;
 
     /** @return the occupation breakdown at peak (Figs. 5-7). */

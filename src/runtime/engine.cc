@@ -1,6 +1,7 @@
 #include "runtime/engine.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "alloc/allocator.h"
 #include "core/check.h"
@@ -16,6 +17,13 @@
 
 namespace pinpoint {
 namespace runtime {
+namespace {
+
+/** Slot value of a name the engine has not interned yet. */
+constexpr trace::OpId kNotInterned =
+    std::numeric_limits<trace::OpId>::max();
+
+}  // namespace
 
 std::size_t
 MemoryUsage::total() const
@@ -30,7 +38,11 @@ Engine::Engine(const Plan &plan, alloc::Allocator &allocator,
                sim::VirtualClock &clock, const sim::CostModel &cost,
                trace::TraceRecorder *recorder, EngineOptions options)
     : plan_(plan), allocator_(allocator), clock_(clock), cost_(cost),
-      recorder_(recorder), options_(options)
+      recorder_(recorder), options_(options),
+      op_names_(plan.iteration_ops.size(), kNotInterned),
+      tensor_names_(plan.tensors.size(), {kNotInterned, kNotInterned}),
+      staging_names_{kNotInterned, kNotInterned},
+      shuffle_name_(kNotInterned)
 {
     PP_CHECK(options_.staging_buffer_bytes == 0 ||
                  options_.iterations_per_epoch > 0,
@@ -70,8 +82,9 @@ Engine::bind(TensorId id)
         e.category = meta.category;
         e.iteration = current_iteration_;
         e.op_index = -1;
-        e.op = "alloc." + meta.name;
-        recorder_->record(std::move(e));
+        const trace::OpId name =
+            intern(tensor_names(id)[0], "alloc.", meta.name);
+        recorder_->record(e, name);
     }
     return it->second;
 }
@@ -100,8 +113,9 @@ Engine::release(TensorId id)
         e.category = meta.category;
         e.iteration = current_iteration_;
         e.op_index = -1;
-        e.op = "free." + meta.name;
-        recorder_->record(std::move(e));
+        const trace::OpId name =
+            intern(tensor_names(id)[1], "free.", meta.name);
+        recorder_->record(e, name);
     }
 }
 
@@ -128,9 +142,28 @@ Engine::note_free(const TensorMeta &meta, const alloc::Block &b)
     cur -= b.size;
 }
 
+trace::OpId
+Engine::intern(trace::OpId &slot, const char *prefix,
+               const std::string &name)
+{
+    // Interned on first use, right before the first event that
+    // carries the name, so ids follow first appearance in the trace.
+    if (slot == kNotInterned && recorder_)
+        slot = recorder_->intern_op(prefix + name);
+    return slot;
+}
+
+std::array<trace::OpId, 2> &
+Engine::tensor_names(TensorId id)
+{
+    if (id == staging_tensor_)
+        return staging_names_;
+    return tensor_names_[static_cast<std::size_t>(id)];
+}
+
 void
 Engine::record_access(trace::EventKind kind, TensorId id,
-                      std::int32_t op_index, const std::string &op)
+                      std::int32_t op_index, trace::OpId op)
 {
     if (!recorder_)
         return;
@@ -150,8 +183,7 @@ Engine::record_access(trace::EventKind kind, TensorId id,
     e.category = meta.category;
     e.iteration = current_iteration_;
     e.op_index = op_index;
-    e.op = op;
-    recorder_->record(std::move(e));
+    recorder_->record(e, op);
 }
 
 void
@@ -166,8 +198,9 @@ Engine::setup()
         // parameter once.
         clock_.advance(cost_.kernel_time(
             static_cast<double>(meta.shape.numel()), 0, meta.bytes()));
+        trace::OpId init = kNotInterned;
         record_access(trace::EventKind::kWrite, id, -1,
-                      "init." + meta.name);
+                      intern(init, "init.", meta.name));
     }
     if (options_.staging_buffer_bytes > 0) {
         staging_tensor_ = plan_.tensors.size() + 1000;
@@ -190,16 +223,17 @@ Engine::stage_dataset(bool initial)
     if (initial) {
         // Initial upload of the on-device dataset shard.
         clock_.advance(cost_.h2d_time(bytes));
+        trace::OpId stage = kNotInterned;
         record_access(trace::EventKind::kWrite, staging_tensor_, -1,
-                      "dataset.stage");
+                      intern(stage, "dataset.stage", {}));
         return;
     }
     // Epoch boundary: on-device shuffle touches the whole buffer.
     record_access(trace::EventKind::kRead, staging_tensor_, -1,
-                  "dataset.shuffle");
+                  intern(shuffle_name_, "dataset.shuffle", {}));
     clock_.advance(cost_.kernel_time(0.0, bytes, bytes));
     record_access(trace::EventKind::kWrite, staging_tensor_, -1,
-                  "dataset.shuffle");
+                  shuffle_name_);
 }
 
 void
@@ -207,8 +241,10 @@ Engine::execute_op(const Op &op, std::int32_t op_index)
 {
     for (TensorId id : op.allocs)
         bind(id);
+    trace::OpId &name = op_names_[static_cast<std::size_t>(op_index)];
     for (TensorId id : op.reads)
-        record_access(trace::EventKind::kRead, id, op_index, op.name);
+        record_access(trace::EventKind::kRead, id, op_index,
+                      intern(name, "", op.name));
 
     std::size_t read_bytes = 0;
     std::size_t write_bytes = 0;
@@ -224,7 +260,8 @@ Engine::execute_op(const Op &op, std::int32_t op_index)
                                          write_bytes));
 
     for (TensorId id : op.writes)
-        record_access(trace::EventKind::kWrite, id, op_index, op.name);
+        record_access(trace::EventKind::kWrite, id, op_index,
+                      intern(name, "", op.name));
     for (TensorId id : op.frees)
         release(id);
 }

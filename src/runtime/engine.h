@@ -10,7 +10,9 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "alloc/allocator.h"
 #include "core/tensor_meta.h"
@@ -119,7 +121,15 @@ class Engine
     void note_alloc(const TensorMeta &meta, const alloc::Block &b);
     void note_free(const TensorMeta &meta, const alloc::Block &b);
     void record_access(trace::EventKind kind, TensorId id,
-                       std::int32_t op_index, const std::string &op);
+                       std::int32_t op_index, trace::OpId op);
+    /**
+     * @return the recorder's id of @p prefix + @p name, interning it
+     * into @p slot on first use (no-op without a recorder).
+     */
+    trace::OpId intern(trace::OpId &slot, const char *prefix,
+                       const std::string &name);
+    /** @return the "alloc."/"free." name slots of tensor @p id. */
+    std::array<trace::OpId, 2> &tensor_names(TensorId id);
 
     const Plan &plan_;
     alloc::Allocator &allocator_;
@@ -137,6 +147,12 @@ class Engine
     /** Synthetic tensor id for the staging buffer. */
     TensorId staging_tensor_ = kInvalidTensor;
     TensorMeta staging_meta_;
+    /** Interned name per plan op (index = op_index). */
+    std::vector<trace::OpId> op_names_;
+    /** Interned "alloc."/"free." names per plan tensor. */
+    std::vector<std::array<trace::OpId, 2>> tensor_names_;
+    std::array<trace::OpId, 2> staging_names_;
+    trace::OpId shuffle_name_;
 };
 
 }  // namespace runtime

@@ -165,24 +165,20 @@ SessionResult::view() const
         view_slot_->view =
             std::make_unique<const analysis::TraceView>(trace);
     });
-    // The snapshot freezes the trace as of the first view() call.
+    // The snapshot seals the trace as of the first view() call.
     // `trace` is a public member, so catch the misuse of mutating
     // or replacing it afterwards (or copying the result and
     // diverging the copies' traces around one shared slot) instead
-    // of silently planning against stale events. Fingerprint =
-    // event count + last timestamp, so a same-size replacement is
-    // caught too (timestamps of distinct runs virtually never
-    // coincide).
-    const analysis::TraceView &frozen = *view_slot_->view;
-    PP_CHECK(frozen.size() == trace.size() &&
-                 (trace.empty() ||
-                  frozen.time(frozen.size() - 1) ==
-                      trace.events().back().time),
-             "SessionResult::trace changed after view() froze it ("
-                 << frozen.size() << " events frozen, "
+    // of silently planning against stale events. A write after the
+    // seal gives the recorder its own copy of the columns, so the
+    // view stops sealing it.
+    const analysis::TraceView &sealed = *view_slot_->view;
+    PP_CHECK(sealed.seals(trace),
+             "SessionResult::trace changed after view() sealed it ("
+                 << sealed.size() << " events sealed, "
                  << trace.size() << " now); build analyses before "
                                     "mutating the trace");
-    return frozen;
+    return sealed;
 }
 
 analysis::LinkBandwidth

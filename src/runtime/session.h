@@ -130,7 +130,7 @@ struct SessionResult {
      * by reference forever after. Everything downstream —
      * validate_swap_plan, plan_relief*, every api::Study facet —
      * routes through this one snapshot. Call only after the run is
-     * complete (the trace must be frozen).
+     * complete: the view seals the trace as it stands.
      */
     const analysis::TraceView &view() const;
 

@@ -60,13 +60,14 @@ expand_grid(const SweepGrid &grid)
     for (const auto &t : topologies)
         sim::interconnect_by_name(t);  // throws typed UsageError
 
-    std::vector<runtime::SessionMode> modes = grid.modes;
-    if (modes.empty())
-        modes = {runtime::SessionMode::kTrain};
+    using runtime::SessionMode;
+    std::vector<SessionMode> modes =
+        grid.modes.empty() ? std::vector<SessionMode>{SessionMode::kTrain}
+                           : grid.modes;
 
-    std::vector<DType> dtypes = grid.dtypes;
-    if (dtypes.empty())
-        dtypes = {DType::kF32};
+    std::vector<DType> dtypes =
+        grid.dtypes.empty() ? std::vector<DType>{DType::kF32}
+                            : grid.dtypes;
 
     if (grid.iterations < 1)
         throw UsageError("iterations must be >= 1, got " +

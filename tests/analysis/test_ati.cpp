@@ -140,7 +140,10 @@ TEST(Ati, AttributionGroupsByOpPrefix)
     add(70, trace::EventKind::kRead, "sgd.fc0.weight");
     add(150, trace::EventKind::kRead, "sgd.fc0.weight");
 
-    const auto atis = compute_atis(TraceView(r));
+    // Sample op names view the TraceView's interned names: keep the
+    // view alive while reading them.
+    const TraceView view(r);
+    const auto atis = compute_atis(view);
     ASSERT_EQ(atis.size(), 3u);
     const auto groups = attribute_atis(atis);
     ASSERT_EQ(groups.size(), 2u);

@@ -1,7 +1,7 @@
 /**
  * @file
  * analysis::TraceView: the one immutable trace snapshot every layer
- * shares. Covers the SoA freeze (columns equal the recorded
+ * shares. Covers the SoA seal (columns equal the recorded
  * events), per-kind counts/offsets, sub-index laziness and
  * build-once behavior (build_stats), thread-safety under a
  * 16-thread hammer, and — the refactor's core promise — equality of
@@ -20,10 +20,12 @@
 #include "analysis/iteration.h"
 #include "analysis/report.h"
 #include "analysis/series.h"
+#include "analysis/stats.h"
 #include "analysis/trace_view.h"
 #include "core/check.h"
 #include "nn/model_registry.h"
 #include "relief/strategy_planner.h"
+#include "runtime/request_stream.h"
 #include "runtime/session.h"
 #include "swap/planner.h"
 
@@ -82,10 +84,34 @@ TEST(TraceView, SnapshotOutlivesTheRecorder)
 {
     trace::TraceRecorder r = small_trace();
     const TraceView view(r);
-    r.clear();  // the view owns its storage
+    EXPECT_TRUE(view.seals(r));
+    r.clear();  // the view co-owns its storage
+    EXPECT_FALSE(view.seals(r));
     EXPECT_EQ(view.size(), 6u);
     EXPECT_EQ(view.op(1), "fc0.forward");
     EXPECT_EQ(view.timeline().blocks().size(), 2u);
+}
+
+TEST(TraceView, RecordingAfterTheSealLeavesTheViewUnchanged)
+{
+    trace::TraceRecorder r = small_trace();
+    const TraceView view(r);
+    const auto before = report_string(view);
+    r.record(ev(100, trace::EventKind::kRead, 2, 1024, "late.op"));
+    r.record(ev(110, trace::EventKind::kFree, 2, 1024, "free.late"));
+    EXPECT_FALSE(view.seals(r));
+    EXPECT_EQ(r.size(), 8u);
+    EXPECT_EQ(view.size(), 6u);
+    EXPECT_EQ(view.count(trace::EventKind::kRead), 1u);
+    EXPECT_EQ(view.count(trace::EventKind::kFree), 1u);
+    EXPECT_EQ(view.time(5), 90u);
+    EXPECT_EQ(view.op(5), "fc0.forward");
+    EXPECT_EQ(report_string(view), before);
+    // A second seal sees the new events; the first is untouched.
+    const TraceView later(r);
+    EXPECT_EQ(later.size(), 8u);
+    EXPECT_EQ(later.op(6), "late.op");
+    EXPECT_EQ(view.size(), 6u);
 }
 
 TEST(TraceView, PerKindCountsAndOffsets)
@@ -115,13 +141,14 @@ TEST(TraceView, PerKindCountsAndOffsets)
 TEST(TraceView, SubIndicesAreLazyAndBuiltOnce)
 {
     const TraceView view(small_trace());
-    // Nothing built yet: only the freeze walked the events.
+    // Nothing built yet, and the seal walks no events: it shares
+    // the recorder's columns.
     auto s = view.build_stats();
     EXPECT_EQ(s.timeline_builds, 0u);
     EXPECT_EQ(s.producer_builds, 0u);
     EXPECT_EQ(s.pattern_builds, 0u);
     EXPECT_EQ(s.index_builds(), 0u);
-    EXPECT_EQ(s.events_walked, view.size());
+    EXPECT_EQ(s.events_walked, 0u);
 
     const Timeline &t1 = view.timeline();
     const Timeline &t2 = view.timeline();
@@ -160,7 +187,7 @@ TEST(TraceView, InconsistentTraceThrowsOnTimelineNotOnFreeze)
 {
     trace::TraceRecorder r;
     r.record(ev(0, trace::EventKind::kRead, 9, 512));
-    const TraceView view(r);  // the freeze itself never validates
+    const TraceView view(r);  // the seal itself never validates
     EXPECT_THROW(view.timeline(), Error);
     // The failed build is not sticky: the next call retries (and
     // fails the same way, but never dereferences a null slot).
@@ -217,6 +244,8 @@ TEST(TraceView, SixteenThreadHammerSharesOneBuild)
         threads.emplace_back([&view, &timelines, i] {
             view.producers();
             view.iteration_pattern();
+            view.atis();
+            view.ati_summary();
             view.count(trace::EventKind::kRead);
             timelines[i] = &view.timeline();
         });
@@ -229,6 +258,96 @@ TEST(TraceView, SixteenThreadHammerSharesOneBuild)
     EXPECT_EQ(s.timeline_builds, 1u);
     EXPECT_EQ(s.producer_builds, 1u);
     EXPECT_EQ(s.pattern_builds, 1u);
+    EXPECT_EQ(s.ati_builds, 1u);
+}
+
+/**
+ * The engine records interned ids, not names. Re-recording its
+ * events() one MemoryEvent at a time must rebuild every column
+ * exactly, op names and their first-appearance ids included, on a
+ * training run (with dataset staging) and on a serving stream.
+ */
+TEST(TraceView, EventsRoundTripEveryFieldOnTrainAndInfer)
+{
+    runtime::SessionConfig train;
+    train.batch = 8;
+    train.iterations = 3;
+    train.engine.staging_buffer_bytes = 1 << 20;
+    train.engine.iterations_per_epoch = 1;
+    const auto trained =
+        runtime::run_training(nn::build_model("mlp"), train);
+    runtime::InferenceConfig infer;
+    infer.session.batch = 4;
+    infer.requests = 6;
+    const auto served =
+        runtime::run_inference(nn::build_model("mlp"), infer);
+
+    for (const trace::TraceRecorder *recorded :
+         {&trained.trace, &served.session.trace}) {
+        trace::TraceRecorder again;
+        for (const trace::MemoryEvent &e : recorded->events())
+            again.record(e);
+        const auto a = recorded->share();
+        const auto b = again.share();
+        ASSERT_GT(a->rows(), 0u);
+        EXPECT_EQ(a->time, b->time);
+        EXPECT_EQ(a->kind, b->kind);
+        EXPECT_EQ(a->block, b->block);
+        EXPECT_EQ(a->ptr, b->ptr);
+        EXPECT_EQ(a->size, b->size);
+        EXPECT_EQ(a->tensor, b->tensor);
+        EXPECT_EQ(a->category, b->category);
+        EXPECT_EQ(a->iteration, b->iteration);
+        EXPECT_EQ(a->op_index, b->op_index);
+        EXPECT_EQ(a->op_id, b->op_id);
+        EXPECT_EQ(a->op_names, b->op_names);
+        EXPECT_EQ(a->by_kind, b->by_kind);
+
+        const TraceView view(*recorded);
+        const auto events = recorded->events();
+        for (std::size_t i = 0; i < view.size(); ++i) {
+            const trace::MemoryEvent e = events[i];
+            EXPECT_EQ(view.time(i), e.time);
+            EXPECT_EQ(view.block(i), e.block);
+            EXPECT_EQ(view.op(i), e.op);
+        }
+    }
+    bool staged = false;
+    for (const trace::MemoryEvent &e : trained.trace.events())
+        staged = staged || e.op == "dataset.shuffle";
+    EXPECT_TRUE(staged) << "the training run must cover dataset names";
+}
+
+TEST(TraceView, CachedAtisEqualComputeAtis)
+{
+    runtime::SessionConfig config;
+    config.batch = 16;
+    config.iterations = 3;
+    const auto r = runtime::run_training(nn::build_model("mlp"),
+                                         config);
+    const TraceView &view = r.view();
+    const auto direct = compute_atis(view);
+    const auto &cached = view.atis();
+    ASSERT_FALSE(direct.empty());
+    ASSERT_EQ(cached.size(), direct.size());
+    for (std::size_t i = 0; i < direct.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(cached[i].behavior_index, direct[i].behavior_index);
+        EXPECT_EQ(cached[i].block, direct[i].block);
+        EXPECT_EQ(cached[i].size, direct[i].size);
+        EXPECT_EQ(cached[i].interval, direct[i].interval);
+        EXPECT_EQ(cached[i].at_time, direct[i].at_time);
+        EXPECT_EQ(cached[i].category, direct[i].category);
+        EXPECT_EQ(cached[i].op, direct[i].op);
+        EXPECT_EQ(cached[i].op, view.op(cached[i].behavior_index));
+    }
+    const auto summary = summarize(ati_microseconds(direct));
+    EXPECT_EQ(view.ati_summary().count, summary.count);
+    EXPECT_EQ(view.ati_summary().median, summary.median);
+    EXPECT_EQ(view.ati_summary().p90, summary.p90);
+    EXPECT_EQ(view.ati_summary().max, summary.max);
+    EXPECT_EQ(&view.atis(), &cached) << "ATIs must be built once";
+    EXPECT_EQ(view.build_stats().ati_builds, 1u);
 }
 
 /**

@@ -7,11 +7,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/ati.h"
 #include "analysis/breakdown.h"
+#include "analysis/report.h"
 #include "analysis/timeline.h"
 #include "analysis/trace_view.h"
 #include "api/study.h"
@@ -126,6 +129,19 @@ TEST(Study, FacetsAreComputedOnceAndCached)
     EXPECT_EQ(&study.relief_all(), &study.relief_all());
     EXPECT_EQ(&study.iteration_pattern(),
               &study.iteration_pattern());
+}
+
+TEST(Study, AtisAndTheReportShareOneAtiBuild)
+{
+    const Study study = Study::run(small_spec());
+    EXPECT_EQ(study.view().build_stats().ati_builds, 0u);
+    EXPECT_EQ(&study.atis(), &study.view().atis());
+    EXPECT_EQ(&study.ati_summary(), &study.view().ati_summary());
+    std::ostringstream report;
+    analysis::write_report(study.view(), report);
+    EXPECT_NE(report.str().find("access time intervals"),
+              std::string::npos);
+    EXPECT_EQ(study.view().build_stats().ati_builds, 1u);
 }
 
 TEST(Study, FacetsAreThreadSafe)
