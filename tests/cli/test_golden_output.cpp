@@ -70,6 +70,80 @@ TEST(GoldenOutput, ReliefMatchesThePreRefactorCli)
               golden("relief_resnet18_b16_i2_budget50.txt"));
 }
 
+/** @return @p text without its "wrote ... to <path>" lines, whose
+ * temp paths differ per run. */
+std::string
+without_wrote_lines(const std::string &text)
+{
+    std::istringstream in(text);
+    std::string out;
+    std::string line;
+    while (std::getline(in, line))
+        if (line.rfind("wrote ", 0) != 0)
+            out += line + "\n";
+    return out;
+}
+
+TEST(GoldenOutput, SwapValidateExportsMatchTheFixture)
+{
+    const std::string csv =
+        testing::TempDir() + "pinpoint_golden_swap.csv";
+    const std::string json =
+        testing::TempDir() + "pinpoint_golden_swap.json";
+    const std::string out =
+        run_out({"swap", "--model", "resnet18", "--batch", "16",
+                 "--iterations", "2", "--validate", "--csv", csv,
+                 "--json", json});
+    EXPECT_EQ(without_wrote_lines(out),
+              golden("swap_resnet18_b16_i2_validate.txt"));
+    EXPECT_EQ(read_file(csv),
+              golden("swap_resnet18_b16_i2_validate.csv"));
+    EXPECT_EQ(read_file(json),
+              golden("swap_resnet18_b16_i2_validate.json"));
+    std::remove(csv.c_str());
+    std::remove(json.c_str());
+}
+
+TEST(GoldenOutput, PeerReliefExportsMatchTheFixture)
+{
+    // Two nvlink replicas: the peer-only plan's legs run on the
+    // interconnect's executor, the host link stays idle.
+    const std::string csv =
+        testing::TempDir() + "pinpoint_golden_peer_relief.csv";
+    const std::string json =
+        testing::TempDir() + "pinpoint_golden_peer_relief.json";
+    const std::string out = run_out(
+        {"relief", "--model", "resnet18", "--batch", "16",
+         "--iterations", "2", "--devices", "2", "--topology",
+         "nvlink", "--strategy", "peer", "--csv", csv, "--json",
+         json});
+    EXPECT_EQ(without_wrote_lines(out),
+              golden("relief_resnet18_b16_i2_dp2_nvlink_peer.txt"));
+    EXPECT_EQ(read_file(csv),
+              golden("relief_resnet18_b16_i2_dp2_nvlink_peer.csv"));
+    EXPECT_EQ(read_file(json),
+              golden("relief_resnet18_b16_i2_dp2_nvlink_peer.json"));
+    std::remove(csv.c_str());
+    std::remove(json.c_str());
+}
+
+TEST(GoldenOutput, ServingReliefExportMatchesTheFixture)
+{
+    // A serving study plans against its p50 request latency as the
+    // per-decision SLO.
+    const std::string json =
+        testing::TempDir() + "pinpoint_golden_infer_relief.json";
+    const std::string out =
+        run_out({"relief", "--mode", "infer", "--model", "mlp",
+                 "--batch", "8", "--requests", "8", "--strategy",
+                 "hybrid", "--json", json});
+    EXPECT_EQ(without_wrote_lines(out),
+              golden("relief_mlp_b8_infer_r8_hybrid.txt"));
+    EXPECT_EQ(read_file(json),
+              golden("relief_mlp_b8_infer_r8_hybrid.json"));
+    std::remove(json.c_str());
+}
+
 TEST(GoldenOutput, SweepCsvMatchesThePreRefactorCli)
 {
     const std::string path =
