@@ -33,7 +33,8 @@ class TraceView;
  * event counts, iterative-pattern verdict, ATI distribution,
  * occupation breakdown, lifetime statistics, outliers, and Eq. 1
  * swap advice. Every section shares @p view's cached sub-indices
- * (timeline, iteration pattern) instead of re-deriving them.
+ * (timeline, iteration pattern, ATIs, breakdown) instead of
+ * re-deriving them.
  *
  * @throws Error on empty traces.
  */

@@ -93,7 +93,8 @@ operator<(const OccupancyEdge &a, const OccupancyEdge &b)
  * Per-block view of a trace. Immutable; construction is O(n log n)
  * in the event count and happens exactly once per TraceView, inside
  * TraceView::timeline() — there is deliberately no public
- * constructor, so no consumer can rebuild the index ad hoc.
+ * constructor and no copy, so no consumer can rebuild or duplicate
+ * the index ad hoc; the compiler rejects both.
  *
  * Beyond the lifetimes themselves, the index owns the sorted
  * occupancy edges and their prefix sums, so the point probes
@@ -103,6 +104,9 @@ operator<(const OccupancyEdge &a, const OccupancyEdge &b)
 class Timeline
 {
   public:
+    Timeline(const Timeline &) = delete;
+    Timeline &operator=(const Timeline &) = delete;
+
     /** @return every block, ordered by allocation time. */
     const std::vector<BlockLifetime> &blocks() const { return blocks_; }
 

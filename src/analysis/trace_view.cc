@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "analysis/ati.h"
+#include "analysis/breakdown.h"
 #include "analysis/iteration.h"
 #include "analysis/producers.h"
 #include "analysis/stats.h"
@@ -171,6 +172,18 @@ TraceView::ati_summary() const
     return ati_summary_;
 }
 
+const BreakdownResult &
+TraceView::breakdown() const
+{
+    breakdown_once_.call([&] {
+        breakdown_ = std::make_unique<const BreakdownResult>(
+            occupation_breakdown(*this));
+        breakdown_builds_.fetch_add(1, std::memory_order_relaxed);
+        events_walked_.fetch_add(size(), std::memory_order_relaxed);
+    });
+    return *breakdown_;
+}
+
 TraceViewStats
 TraceView::build_stats() const
 {
@@ -179,6 +192,8 @@ TraceView::build_stats() const
     s.producer_builds = producer_builds_.load(std::memory_order_relaxed);
     s.pattern_builds = pattern_builds_.load(std::memory_order_relaxed);
     s.ati_builds = ati_builds_.load(std::memory_order_relaxed);
+    s.breakdown_builds =
+        breakdown_builds_.load(std::memory_order_relaxed);
     s.events_walked = events_walked_.load(std::memory_order_relaxed);
     return s;
 }

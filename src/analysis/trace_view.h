@@ -9,11 +9,12 @@
  * columnar (SoA) form, and the view takes shared ownership of those
  * columns instead of copying them. On top of them it keeps every
  * expensive derived index — the block Timeline, the recompute
- * producer index, the iteration pattern, the default ATIs and their
- * summary — each built lazily, exactly once, behind a core OnceFlag,
- * and shared by reference with the analysis, swap, relief, runtime,
- * and api layers. The invariant is *one build per run*, and
- * build_stats() makes it checkable from benches and tests.
+ * producer index, the iteration pattern, the occupation breakdown,
+ * the default ATIs and their summary — each built lazily, exactly
+ * once, behind a core OnceFlag, and shared by reference with the
+ * analysis, swap, relief, runtime, and api layers. The invariant is
+ * *one build per run*, and build_stats() makes it checkable from
+ * benches and tests.
  *
  * Invariants:
  *   - A TraceView never mutates after construction; every accessor
@@ -38,6 +39,7 @@
 #include <vector>
 
 #include "analysis/ati.h"
+#include "analysis/breakdown.h"
 #include "analysis/iteration.h"
 #include "analysis/producers.h"
 #include "analysis/stats.h"
@@ -64,6 +66,8 @@ struct TraceViewStats {
     std::size_t pattern_builds = 0;
     /** Default-option ATI builds (samples plus their summary). */
     std::size_t ati_builds = 0;
+    /** Occupation-breakdown replays. */
+    std::size_t breakdown_builds = 0;
     /**
      * Events scanned across every sub-index build. The seal walks
      * none: it shares the recorder's columns.
@@ -74,7 +78,7 @@ struct TraceViewStats {
     std::size_t index_builds() const
     {
         return timeline_builds + producer_builds + pattern_builds +
-               ati_builds;
+               ati_builds + breakdown_builds;
     }
 };
 
@@ -180,6 +184,13 @@ class TraceView
     /** @return summary statistics of atis() in microseconds. */
     const SummaryStats &ati_summary() const;
 
+    /**
+     * @return occupation_breakdown(*this), built once.
+     * @throws Error on inconsistent traces, on every call (a failed
+     * build is retried, like timeline()).
+     */
+    const BreakdownResult &breakdown() const;
+
     /** @return a snapshot of the build/work counters. */
     TraceViewStats build_stats() const;
 
@@ -201,11 +212,14 @@ class TraceView
     mutable OnceFlag atis_once_;
     mutable std::vector<AtiSample> atis_;
     mutable SummaryStats ati_summary_;
+    mutable OnceFlag breakdown_once_;
+    mutable std::unique_ptr<const BreakdownResult> breakdown_;
 
     mutable std::atomic<std::size_t> timeline_builds_{0};
     mutable std::atomic<std::size_t> producer_builds_{0};
     mutable std::atomic<std::size_t> pattern_builds_{0};
     mutable std::atomic<std::size_t> ati_builds_{0};
+    mutable std::atomic<std::size_t> breakdown_builds_{0};
     mutable std::atomic<std::size_t> events_walked_{0};
 };
 

@@ -6,6 +6,7 @@
 #include "analysis/breakdown.h"
 #include "analysis/iteration.h"
 #include "analysis/stats.h"
+#include "analysis/swap_model.h"
 #include "analysis/timeline.h"
 #include "api/workload.h"
 #include "core/check.h"
@@ -15,6 +16,7 @@
 #include "runtime/request_stream.h"
 #include "runtime/session.h"
 #include "sim/device_spec.h"
+#include "swap/executor.h"
 #include "swap/planner.h"
 #include "trace/recorder.h"
 
@@ -28,9 +30,6 @@ namespace api {
  * behind the Study's facets_ pointer and is written exactly once.
  */
 struct Study::Facets {
-    OnceFlag breakdown_once;
-    analysis::BreakdownResult breakdown;
-
     OnceFlag swap_plan_once;
     swap::SwapPlanReport swap_plan;
 
@@ -178,11 +177,7 @@ Study::ati_summary() const
 const analysis::BreakdownResult &
 Study::breakdown() const
 {
-    facets_->breakdown_once.call([&] {
-        facets_->breakdown =
-            analysis::occupation_breakdown(result().view());
-    });
-    return facets_->breakdown;
+    return result().view().breakdown();
 }
 
 const analysis::IterationPattern &
@@ -198,8 +193,6 @@ Study::swap_plan() const
         PP_CHECK(!result().trace.empty(),
                  "swap planning needs a recorded trace (run with "
                  "record_trace = true)");
-        // The shared fill rule keeps this plan identical to
-        // swap_validation().plan by construction.
         facets_->swap_plan =
             swap::SwapPlanner(
                 runtime::fill_swap_link(options_.swap, device_))
@@ -212,8 +205,14 @@ const runtime::SwapValidation &
 Study::swap_validation() const
 {
     facets_->swap_once.call([&] {
-        facets_->swap_validation = runtime::validate_swap_plan(
-            result(), device_, options_.swap);
+        // Executes the plan facet's one plan: a Study plans swaps
+        // once, whichever facet asks first.
+        const swap::SwapPlanReport &plan = swap_plan();
+        const analysis::LinkBandwidth link =
+            runtime::fill_link_bandwidth(options_.swap.link, device_);
+        facets_->swap_validation.plan = plan;
+        facets_->swap_validation.execution =
+            swap::execute_plan(result().view(), plan, link);
     });
     return facets_->swap_validation;
 }
@@ -235,8 +234,13 @@ Study::relief_all() const
         // steady-state p50 latency unless the caller set one.
         if (inf_ && opts.latency_budget_ns == 0)
             opts.latency_budget_ns = inf_->latency_p50;
-        facets_->relief_all = runtime::plan_relief_all(
-            result(), device_, std::move(opts));
+        PP_CHECK(!result().trace.empty(),
+                 "relief planning needs a recorded trace (run with "
+                 "record_trace = true)");
+        opts.link = runtime::fill_link_bandwidth(opts.link, device_);
+        facets_->relief_all =
+            relief::StrategyPlanner(std::move(opts))
+                .plan_all(result().view());
     });
     return facets_->relief_all;
 }

@@ -5,13 +5,13 @@
  * derived analysis the repo computes — the block timeline and
  * occupancy peak, ATI samples and statistics, the occupation
  * breakdown, the iterative-pattern verdict, the shared-link swap
- * validation, and the three unified-relief reports — as *lazy,
+ * validation, and the four unified-relief reports — as *lazy,
  * computed-once, cached facets*.
  *
  * Every facet is a projection of the result's single
  * analysis::TraceView (view()): the timeline, producer index,
- * iteration pattern and default ATIs (with their summary) are the
- * view's own cached sub-indices, and the
+ * iteration pattern, occupation breakdown and default ATIs (with
+ * their summary) are the view's own cached sub-indices, and the
  * swap/relief facets plan against them — one trace index per run,
  * shared across all five layers.
  *
@@ -264,17 +264,17 @@ class Study
      */
     const analysis::SummaryStats &ati_summary() const;
 
-    /** @return the occupation breakdown at peak (Figs. 5-7). */
+    /** @return the occupation breakdown at peak (Figs. 5-7) — the
+     * view's cached sub-index, shared with analysis::write_report. */
     const analysis::BreakdownResult &breakdown() const;
 
     /** @return the iterative-pattern verdict (Fig. 2 takeaway). */
     const analysis::IterationPattern &iteration_pattern() const;
 
     /**
-     * @return the Eq. 1 swap plan alone — no link execution.
-     * Identical by construction to swap_validation().plan, but
-     * skips the shared-link scheduling entirely, so plan-only
-     * consumers never pay for measurement.
+     * @return the Eq. 1 swap plan alone — no link execution. The
+     * one swap plan of the Study: swap_validation() executes this
+     * plan, so plan-only consumers never pay for measurement.
      * @throws Error when the study has no trace.
      */
     const swap::SwapPlanReport &swap_plan() const;

@@ -7,7 +7,6 @@
 #include "analysis/timeline.h"
 #include "core/check.h"
 #include "core/types.h"
-#include "relief/recompute_planner.h"
 #include "sim/link_scheduler.h"
 #include "swap/executor.h"
 #include "swap/planner.h"
@@ -31,7 +30,7 @@ struct Candidate {
     bool rec_ok = false;
     TimeNs rec_cost = 0;
     bool rec_covers = false;
-    const Producer *producer = nullptr;
+    const analysis::Producer *producer = nullptr;
     // Peer-offload option (multi-device topologies only).
     bool peer_ok = false;
     TimeNs peer_overhead = 0;
@@ -59,7 +58,7 @@ struct Selection {
     std::size_t total_bytes = 0;
 };
 
-/** Everything plan() derives from a trace once, strategy-agnostic. */
+/** Everything plan_all derives from a trace once, for every strategy. */
 struct PlanContext {
     /** The run's shared sub-indices, borrowed from the TraceView —
      * never private rebuilds (the five-sites-per-run bug class). */
@@ -393,6 +392,20 @@ assemble(const PlanContext &ctx, const StrategyOptions &options,
     return report;
 }
 
+/** The peer-only report on a topology with no peer: empty, marked
+ * unavailable so comparisons skip it instead of reading its zero
+ * overhead as a free win. */
+ReliefReport
+unavailable_report(const PlanContext &ctx, Strategy strategy)
+{
+    ReliefReport report;
+    report.strategy = strategy;
+    report.available = false;
+    report.original_peak_bytes = ctx.original_peak;
+    report.new_peak_bytes = ctx.original_peak;
+    return report;
+}
+
 }  // namespace
 
 const char *
@@ -443,72 +456,6 @@ StrategyPlanner::StrategyPlanner(StrategyOptions options)
              "strategy planner needs positive link bandwidths");
     PP_CHECK(options_.safety_factor >= 1.0,
              "safety_factor must be >= 1.0");
-}
-
-namespace {
-
-/** The peer-only report on a topology with no peer: empty, marked
- * unavailable so comparisons skip it instead of reading its zero
- * overhead as a free win. */
-ReliefReport
-unavailable_report(const PlanContext &ctx, Strategy strategy)
-{
-    ReliefReport report;
-    report.strategy = strategy;
-    report.available = false;
-    report.original_peak_bytes = ctx.original_peak;
-    report.new_peak_bytes = ctx.original_peak;
-    return report;
-}
-
-}  // namespace
-
-ReliefReport
-StrategyPlanner::plan(const analysis::TraceView &view,
-                      Strategy strategy) const
-{
-    PlanContext ctx(view);
-    enumerate_candidates(ctx, options_);
-    const TimeNs budget = options_.overhead_budget;
-    const TimeNs cap = options_.latency_budget_ns;
-    const bool peer = options_.peer_available();
-    switch (strategy) {
-      case Strategy::kSwapOnly:
-        return assemble(ctx, options_, view, strategy,
-                        select(ctx.candidates, {true, false, false},
-                               budget, cap));
-      case Strategy::kRecomputeOnly:
-        return assemble(ctx, options_, view, strategy,
-                        select(ctx.candidates, {false, true, false},
-                               budget, cap));
-      case Strategy::kPeerOnly:
-        if (!peer)
-            return unavailable_report(ctx, strategy);
-        return assemble(ctx, options_, view, strategy,
-                        select(ctx.candidates, {false, false, true},
-                               budget, cap));
-      case Strategy::kHybrid: break;
-    }
-    // The greedy union search, guarded by every pure selection:
-    // hybrid adopts whichever wins, so at equal budget it is never
-    // worse than any pure strategy.
-    Selection sel =
-        select(ctx.candidates, {true, true, peer}, budget, cap);
-    Selection swap_only =
-        select(ctx.candidates, {true, false, false}, budget, cap);
-    Selection rec_only =
-        select(ctx.candidates, {false, true, false}, budget, cap);
-    if (better(swap_only, sel))
-        sel = std::move(swap_only);
-    if (better(rec_only, sel))
-        sel = std::move(rec_only);
-    if (peer) {
-        Selection peer_only =
-            select(ctx.candidates, {false, false, true}, budget, cap);
-        if (better(peer_only, sel))
-            sel = std::move(peer_only);
-    }
-    return assemble(ctx, options_, view, Strategy::kHybrid, sel);
 }
 
 std::array<ReliefReport, kNumStrategies>

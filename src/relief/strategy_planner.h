@@ -211,21 +211,13 @@ class StrategyPlanner
     explicit StrategyPlanner(StrategyOptions options);
 
     /**
-     * Builds the relief plan for @p view's trace under @p strategy,
-     * then schedules its swap legs on a fresh shared link and fills
-     * the measured fields. Reads the view's shared Timeline and
-     * producer index — planning never rebuilds what the swap path
-     * already built.
-     */
-    ReliefReport plan(const analysis::TraceView &view,
-                      Strategy strategy) const;
-
-    /**
-     * Plans every strategy from one trace analysis — the candidate
-     * enumeration and pure selections are shared, so this costs
-     * roughly one plan() instead of one per strategy. Reports are
-     * indexed by Strategy enumerator order; the peer-only report is
-     * marked unavailable on single-device topologies.
+     * Builds the relief plan of every strategy for @p view's trace,
+     * then schedules each plan's swap legs on a fresh shared link
+     * and fills the measured fields. Reads the view's shared
+     * Timeline and producer index, and enumerates the candidates
+     * once for all strategies. Reports are indexed by Strategy
+     * enumerator order; the peer-only report is marked unavailable
+     * on single-device topologies.
      */
     std::array<ReliefReport, kNumStrategies>
     plan_all(const analysis::TraceView &view) const;

@@ -16,7 +16,6 @@
 #include "core/once.h"
 #include "core/types.h"
 #include "nn/models.h"
-#include "relief/strategy_planner.h"
 #include "runtime/engine.h"
 #include "runtime/plan.h"
 #include "runtime/plan_builder.h"
@@ -127,9 +126,9 @@ struct SessionResult {
     /**
      * The run's shared analysis::TraceView: built from `trace` on
      * first call (one build per run, OnceFlag), then returned
-     * by reference forever after. Everything downstream —
-     * validate_swap_plan, plan_relief*, every api::Study facet —
-     * routes through this one snapshot. Call only after the run is
+     * by reference forever after. Everything downstream — every
+     * api::Study facet, the swap and relief planners — routes
+     * through this one snapshot. Call only after the run is
      * complete: the view seals the trace as it stands.
      */
     const analysis::TraceView &view() const;
@@ -186,9 +185,9 @@ struct SwapValidation {
 /**
  * @return @p link with unset (<= 0) bandwidths filled from
  * @p device's measured PCIe rates, keeping any caller override.
- * The one fill rule behind both fill_swap_link and the relief
- * planners, so no two pipeline stages can price different host
- * links for the same device.
+ * The one fill rule behind fill_swap_link and api::Study's
+ * swap-validation and relief facets, so no two pipeline stages can
+ * price different host links for the same device.
  */
 analysis::LinkBandwidth
 fill_link_bandwidth(analysis::LinkBandwidth link,
@@ -196,53 +195,11 @@ fill_link_bandwidth(analysis::LinkBandwidth link,
 
 /**
  * @return @p options with unset (<= 0) link bandwidths filled from
- * @p device. The one fill rule shared by validate_swap_plan and
- * api::Study::swap_plan, so a plan-only facet and a validated plan
- * can never price different links.
+ * @p device by fill_link_bandwidth.
  */
 swap::PlannerOptions
 fill_swap_link(swap::PlannerOptions options,
                const sim::DeviceSpec &device);
-
-/**
- * Validation step of the swap pipeline: plans swapping for
- * @p result's trace and executes the plan on a shared full-duplex
- * link with @p device's bandwidths. Both steps read
- * @p result.view()'s shared Timeline — one index build serves the
- * whole pipeline. When @p options carries zero link bandwidths (the
- * default-constructed state) they are filled from @p device.
- *
- * @throws Error when the session recorded no trace, or on
- * plan/trace mismatch.
- */
-SwapValidation validate_swap_plan(const SessionResult &result,
-                                  const sim::DeviceSpec &device,
-                                  swap::PlannerOptions options = {});
-
-/**
- * Unified-relief step of the pipeline: plans @p strategy (swap-only,
- * recompute-only, peer-only, or hybrid) for @p result's trace and
- * schedules the plan's swap legs on a shared full-duplex link with
- * @p device's bandwidths (peer legs ride @p options' interconnect).
- * When @p options carries zero link bandwidths (the
- * default-constructed state) they are filled from @p device.
- *
- * @throws Error when the session recorded no trace.
- */
-relief::ReliefReport plan_relief(const SessionResult &result,
-                                 const sim::DeviceSpec &device,
-                                 relief::Strategy strategy,
-                                 relief::StrategyOptions options = {});
-
-/**
- * Same as plan_relief, but plans every strategy from one shared
- * trace analysis (reports in Strategy enumerator order; peer-only
- * is marked unavailable on single-device topologies).
- */
-std::array<relief::ReliefReport, relief::kNumStrategies>
-plan_relief_all(const SessionResult &result,
-                const sim::DeviceSpec &device,
-                relief::StrategyOptions options = {});
 
 }  // namespace runtime
 }  // namespace pinpoint

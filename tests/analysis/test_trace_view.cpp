@@ -158,11 +158,13 @@ TEST(TraceView, SubIndicesAreLazyAndBuiltOnce)
 
     EXPECT_EQ(&view.producers(), &view.producers());
     EXPECT_EQ(&view.iteration_pattern(), &view.iteration_pattern());
+    EXPECT_EQ(&view.breakdown(), &view.breakdown());
     s = view.build_stats();
     EXPECT_EQ(s.timeline_builds, 1u);
     EXPECT_EQ(s.producer_builds, 1u);
     EXPECT_EQ(s.pattern_builds, 1u);
-    EXPECT_EQ(s.index_builds(), 3u);
+    EXPECT_EQ(s.breakdown_builds, 1u);
+    EXPECT_EQ(s.index_builds(), 4u);
     EXPECT_GT(s.events_walked, view.size());
 }
 
@@ -193,6 +195,14 @@ TEST(TraceView, InconsistentTraceThrowsOnTimelineNotOnFreeze)
     // fails the same way, but never dereferences a null slot).
     EXPECT_THROW(view.timeline(), Error);
     EXPECT_EQ(view.build_stats().timeline_builds, 0u);
+    // The breakdown replay rejects its own inconsistencies the same
+    // non-sticky way.
+    trace::TraceRecorder stray_free;
+    stray_free.record(ev(0, trace::EventKind::kFree, 9, 512));
+    const TraceView freed(stray_free);
+    EXPECT_THROW(freed.breakdown(), Error);
+    EXPECT_THROW(freed.breakdown(), Error);
+    EXPECT_EQ(freed.build_stats().breakdown_builds, 0u);
 }
 
 TEST(TraceView, TimelineProbesMatchBruteForce)
@@ -246,6 +256,7 @@ TEST(TraceView, SixteenThreadHammerSharesOneBuild)
             view.iteration_pattern();
             view.atis();
             view.ati_summary();
+            view.breakdown();
             view.count(trace::EventKind::kRead);
             timelines[i] = &view.timeline();
         });
@@ -259,6 +270,9 @@ TEST(TraceView, SixteenThreadHammerSharesOneBuild)
     EXPECT_EQ(s.producer_builds, 1u);
     EXPECT_EQ(s.pattern_builds, 1u);
     EXPECT_EQ(s.ati_builds, 1u);
+    EXPECT_EQ(s.breakdown_builds, 1u);
+    EXPECT_EQ(view.breakdown().at_peak,
+              occupation_breakdown(view).at_peak);
 }
 
 /**
@@ -380,7 +394,7 @@ TEST(TraceView, SharedViewEqualsFreshViewsAcrossTheZoo)
             EXPECT_EQ(sa[i].interval, fa[i].interval);
             EXPECT_EQ(sa[i].block, fa[i].block);
         }
-        EXPECT_EQ(occupation_breakdown(shared).at_peak,
+        EXPECT_EQ(shared.breakdown().at_peak,
                   occupation_breakdown(fresh).at_peak);
         EXPECT_EQ(shared.iteration_pattern().signatures,
                   fresh.iteration_pattern().signatures);
@@ -407,7 +421,7 @@ TEST(TraceView, SharedViewEqualsFreshViewsAcrossTheZoo)
         EXPECT_EQ(sexec.new_peak_bytes, fexec.new_peak_bytes);
         EXPECT_EQ(sexec.measured_stall, fexec.measured_stall);
 
-        // Relief layer (both planners share the view's indices).
+        // Relief layer (the planner shares the view's indices).
         relief::StrategyOptions ropts;
         ropts.link = sopts.link;
         const auto srel =

@@ -7,6 +7,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -15,10 +17,17 @@
 #include "analysis/ati.h"
 #include "analysis/breakdown.h"
 #include "analysis/report.h"
+#include "analysis/swap_model.h"
 #include "analysis/timeline.h"
 #include "analysis/trace_view.h"
 #include "api/study.h"
 #include "core/check.h"
+#include "nn/models.h"
+#include "relief/strategy_planner.h"
+#include "runtime/session.h"
+#include "swap/executor.h"
+#include "swap/planner.h"
+#include "trace/csv.h"
 
 namespace pinpoint {
 namespace api {
@@ -93,20 +102,31 @@ TEST(Study, SwapPlanFacetEqualsTheValidationPlan)
     EXPECT_EQ(&planned.swap_plan(), &plan);
 }
 
-TEST(Study, SwapAndReliefFacetsEqualRuntimeHelpers)
+TEST(Study, SwapAndReliefFacetsEqualDirectPlanning)
 {
     const Study study = Study::run(small_spec());
-    const auto direct =
-        runtime::validate_swap_plan(study.result(), study.device());
+    // Plan and execute on a fresh view, over the device's link: the
+    // facets must not depend on the Study's caches.
+    const analysis::TraceView fresh(study.trace());
+    const analysis::LinkBandwidth link{study.device().d2h_bw_bps,
+                                       study.device().h2d_bw_bps};
+    swap::PlannerOptions swap_opts;
+    swap_opts.link = link;
+    const auto direct_plan = swap::SwapPlanner(swap_opts).plan(fresh);
+    const auto direct_exec = swap::execute_plan(fresh, direct_plan, link);
     EXPECT_EQ(study.swap_validation().plan.decisions.size(),
-              direct.plan.decisions.size());
+              direct_plan.decisions.size());
     EXPECT_EQ(study.swap_validation().plan.peak_reduction_bytes,
-              direct.plan.peak_reduction_bytes);
+              direct_plan.peak_reduction_bytes);
     EXPECT_EQ(study.swap_validation().execution.measured_stall,
-              direct.execution.measured_stall);
+              direct_exec.measured_stall);
+    EXPECT_EQ(study.swap_validation().execution.new_peak_bytes,
+              direct_exec.new_peak_bytes);
 
+    relief::StrategyOptions relief_opts;
+    relief_opts.link = link;
     const auto direct_relief =
-        runtime::plan_relief_all(study.result(), study.device());
+        relief::StrategyPlanner(relief_opts).plan_all(fresh);
     for (int i = 0; i < relief::kNumStrategies; ++i) {
         EXPECT_EQ(study.relief_all()[i].peak_reduction_bytes,
                   direct_relief[i].peak_reduction_bytes);
@@ -115,6 +135,56 @@ TEST(Study, SwapAndReliefFacetsEqualRuntimeHelpers)
         EXPECT_EQ(&study.relief(static_cast<relief::Strategy>(i)),
                   &study.relief_all()[i]);
     }
+}
+
+TEST(Study, SwapValidationClosesTheLoop)
+{
+    runtime::SessionConfig config;
+    config.batch = 16;
+    config.iterations = 3;
+    WorkloadSpec spec;
+    spec.model = "resnet18";
+    const Study study(spec,
+                      runtime::run_training(nn::resnet(18), config),
+                      config.device);
+
+    const auto &v = study.swap_validation();
+    EXPECT_EQ(v.execution.executed_decisions,
+              v.plan.decisions.size());
+    EXPECT_EQ(v.plan.original_peak_bytes,
+              v.execution.original_peak_bytes);
+    // Default options take the link from the device spec, so the
+    // validation matches an explicit plan over the same link.
+    swap::PlannerOptions opts;
+    opts.link = analysis::LinkBandwidth{config.device.d2h_bw_bps,
+                                        config.device.h2d_bw_bps};
+    const auto direct = swap::SwapPlanner(opts).plan(study.view());
+    EXPECT_EQ(v.plan.decisions.size(), direct.decisions.size());
+    EXPECT_EQ(v.plan.peak_reduction_bytes,
+              direct.peak_reduction_bytes);
+    EXPECT_EQ(v.unpredicted_stall(),
+              v.execution.measured_stall -
+                  std::min(v.execution.measured_stall,
+                           v.plan.predicted_overhead));
+    // The validation executes the plan facet's plan: one swap plan
+    // per Study.
+    EXPECT_EQ(v.plan.decisions.size(),
+              study.swap_plan().decisions.size());
+    EXPECT_EQ(v.plan.predicted_overhead,
+              study.swap_plan().predicted_overhead);
+}
+
+TEST(Study, SwapValidationAndReliefNeedATrace)
+{
+    runtime::SessionConfig config;
+    config.batch = 16;
+    config.iterations = 2;
+    config.record_trace = false;
+    const Study study(small_spec(),
+                      runtime::run_training(nn::mlp(), config),
+                      config.device);
+    EXPECT_THROW(study.swap_validation(), Error);
+    EXPECT_THROW(study.relief_all(), Error);
 }
 
 TEST(Study, FacetsAreComputedOnceAndCached)
@@ -142,6 +212,20 @@ TEST(Study, AtisAndTheReportShareOneAtiBuild)
     EXPECT_NE(report.str().find("access time intervals"),
               std::string::npos);
     EXPECT_EQ(study.view().build_stats().ati_builds, 1u);
+}
+
+TEST(Study, BreakdownAndTheReportShareOneBuild)
+{
+    const Study study = Study::run(small_spec());
+    EXPECT_EQ(study.view().build_stats().breakdown_builds, 0u);
+    EXPECT_EQ(&study.breakdown(), &study.view().breakdown());
+    std::ostringstream report;
+    analysis::write_report(study.view(), report);
+    EXPECT_NE(report.str().find("occupation breakdown"),
+              std::string::npos);
+    const auto stats = study.view().build_stats();
+    EXPECT_EQ(stats.breakdown_builds, 1u);
+    EXPECT_GE(stats.index_builds(), stats.breakdown_builds);
 }
 
 TEST(Study, FacetsAreThreadSafe)
@@ -296,6 +380,97 @@ TEST(Study, DataParallelSpecsRoundTripThroughTheRunner)
     EXPECT_EQ(study.data_parallel_result().gradient_bytes,
               direct.gradient_bytes);
     EXPECT_EQ(study.result().end_time, direct.primary().end_time);
+}
+
+/**
+ * Damages @p csv (a write_csv trace) the way a bad disk or a careless
+ * edit would, picked by @p rng: truncate it, flip bytes, drop a line,
+ * or swap two lines. The header line is left alone by the line-level
+ * damage so most damaged traces still parse.
+ */
+std::string
+damage(const std::string &csv, std::mt19937 &rng, int kind)
+{
+    auto pick = [&rng](std::size_t lo, std::size_t hi) {
+        return std::uniform_int_distribution<std::size_t>(lo, hi)(rng);
+    };
+    std::vector<std::string> lines;
+    std::istringstream in(csv);
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    std::string out;
+    switch (kind) {
+      case 0:  // truncate
+        return csv.substr(0, pick(0, csv.size() - 1));
+      case 1:  // flip a bit in one to three bytes
+        out = csv;
+        for (std::size_t flips = pick(1, 3); flips > 0; --flips) {
+            const std::size_t at = pick(0, out.size() - 1);
+            out[at] = static_cast<char>(out[at] ^ (1 << pick(0, 6)));
+        }
+        return out;
+      case 2:  // drop a line
+        lines.erase(lines.begin() +
+                    static_cast<std::ptrdiff_t>(pick(1, lines.size() - 1)));
+        break;
+      default:  // swap two lines
+        std::swap(lines[pick(1, lines.size() - 1)],
+                  lines[pick(1, lines.size() - 1)]);
+        break;
+    }
+    for (const auto &line : lines)
+        out += line + "\n";
+    return out;
+}
+
+TEST(Study, DamagedOfflineTracesAreRejectedOrAnalysedCleanly)
+{
+    // A real run's trace, written the way the offline path reads it.
+    const Study recorded = Study::run(small_spec());
+    std::ostringstream written;
+    trace::write_csv(recorded.trace(), written);
+    const std::string csv = written.str();
+
+    // Plan every block, so the swap and relief paths see real
+    // decisions on the damaged trace.
+    StudyOptions opts;
+    opts.swap.min_block_bytes = 1;
+    opts.swap.allow_overhead = true;
+    opts.relief.min_block_bytes = 1;
+
+    int rejected = 0;
+    int analysed = 0;
+    std::size_t decisions = 0;
+    for (std::uint32_t seed = 1; seed <= 64; ++seed) {
+        SCOPED_TRACE(seed);
+        std::mt19937 rng(seed);
+        const std::string bad =
+            damage(csv, rng, static_cast<int>(seed % 4));
+        // Either the reader or a facet rejects the trace with Error,
+        // or every facet completes; anything else (another exception
+        // type, a sanitizer report) fails the test.
+        try {
+            std::istringstream in(bad);
+            const Study offline = Study::from_trace(
+                trace::read_csv(in), sim::DeviceSpec::titan_x_pascal(),
+                opts);
+            offline.timeline();
+            offline.atis();
+            offline.breakdown();
+            decisions +=
+                offline.swap_validation().plan.decisions.size();
+            offline.relief_all();
+            std::ostringstream report;
+            analysis::write_report(offline.view(), report);
+            ++analysed;
+        } catch (const Error &) {
+            ++rejected;
+        }
+    }
+    EXPECT_GT(rejected, 0);
+    EXPECT_GT(analysed, 0);
+    // The analysed traces reached the planners with work to do.
+    EXPECT_GT(decisions, 0u);
 }
 
 }  // namespace

@@ -1,19 +1,44 @@
 /**
  * @file
- * Unit tests for the recomputation planner: producer indexing from
- * the trace, measured-forward-time costing, gap walking, and the
- * zero-gap regression.
+ * Unit tests for the recompute mechanism: producer indexing from
+ * the trace, and the recompute-only plan of the unified planner —
+ * measured-forward-time costing, gap walking, and the zero-gap
+ * regression.
  */
 #include <gtest/gtest.h>
 
+#include "analysis/producers.h"
 #include "analysis/trace_view.h"
-#include "relief/recompute_planner.h"
+#include "relief/strategy_planner.h"
 
 namespace pinpoint {
 namespace relief {
 namespace {
 
+using analysis::index_producers;
+using analysis::is_forward_op;
+
 constexpr std::size_t kMB = 1024 * 1024;
+
+/** Per-Strategy arrays are read by enumerator, never by position. */
+constexpr std::size_t
+at(Strategy s)
+{
+    return static_cast<std::size_t>(s);
+}
+
+/**
+ * @return the recompute-only plan of @p view at an unlimited
+ * budget: every gap the producer's re-run fits inside.
+ */
+ReliefReport
+plan_recompute(const analysis::TraceView &view, StrategyOptions opts = {})
+{
+    opts.link = analysis::LinkBandwidth{6.4e9, 6.3e9};
+    opts.overhead_budget = kUnlimitedBudget;
+    const auto all = StrategyPlanner(opts).plan_all(view);
+    return all[at(Strategy::kRecomputeOnly)];
+}
 
 trace::MemoryEvent
 ev(TimeNs t, trace::EventKind kind, BlockId block, std::size_t size,
@@ -107,12 +132,13 @@ TEST(IndexProducers, SkipsNonIntermediateCategories)
     EXPECT_EQ(index_producers(analysis::TraceView(r)).count(1), 0u);
 }
 
-TEST(RecomputePlanner, PlansGapAtMeasuredForwardCost)
+TEST(RecomputeOnlyPlan, PlansGapAtMeasuredForwardCost)
 {
-    RecomputePlanner planner(RecomputeOptions{});
-    const auto plan = planner.plan(analysis::TraceView(activation_trace()));
+    const auto plan =
+        plan_recompute(analysis::TraceView(activation_trace()));
     ASSERT_EQ(plan.decisions.size(), 1u);
     const auto &d = plan.decisions[0];
+    EXPECT_EQ(d.mechanism, Mechanism::kRecompute);
     EXPECT_EQ(d.block, 2u);
     EXPECT_EQ(d.gap_start, 110u);
     EXPECT_EQ(d.gap_end, 10 * kNsPerMs);
@@ -122,7 +148,7 @@ TEST(RecomputePlanner, PlansGapAtMeasuredForwardCost)
     EXPECT_EQ(plan.total_recomputed_bytes, 64 * kMB);
 }
 
-TEST(RecomputePlanner, ZeroGapProducesNoDecision)
+TEST(RecomputeOnlyPlan, ZeroGapProducesNoDecision)
 {
     // Two accesses at the same instant: the "gap" has zero width, so
     // dropping the block buys nothing and must not be scheduled
@@ -136,11 +162,11 @@ TEST(RecomputePlanner, ZeroGapProducesNoDecision)
     r.record(ev(105, trace::EventKind::kRead, 1, act, "g.forward", 2));
     r.record(ev(200, trace::EventKind::kFree, 1, act));
     r.record(ev(210, trace::EventKind::kFree, 2, kMB));
-    RecomputePlanner planner(RecomputeOptions{});
-    EXPECT_TRUE(planner.plan(analysis::TraceView(r)).decisions.empty());
+    EXPECT_TRUE(
+        plan_recompute(analysis::TraceView(r)).decisions.empty());
 }
 
-TEST(RecomputePlanner, ReRunMustFitInsideTheGap)
+TEST(RecomputeOnlyPlan, ReRunMustFitInsideTheGap)
 {
     // A 100 ns producer and a 60 ns gap: the output buffer would be
     // live again for the entire gap while the producer replays, so
@@ -160,20 +186,20 @@ TEST(RecomputePlanner, ReRunMustFitInsideTheGap)
     r.record(ev(200, trace::EventKind::kFree, 2, act));
     r.record(ev(210, trace::EventKind::kFree, 1, in, "", -1,
                 Category::kInput));
-    RecomputePlanner planner(RecomputeOptions{});
-    EXPECT_TRUE(planner.plan(analysis::TraceView(r)).decisions.empty());
+    EXPECT_TRUE(
+        plan_recompute(analysis::TraceView(r)).decisions.empty());
 }
 
-TEST(RecomputePlanner, MinBlockFilterDropsSmallBlocks)
+TEST(RecomputeOnlyPlan, MinBlockFilterDropsSmallBlocks)
 {
-    RecomputeOptions opts;
+    StrategyOptions opts;
     opts.min_block_bytes = 128 * kMB;
-    RecomputePlanner planner(opts);
-    EXPECT_TRUE(planner.plan(analysis::TraceView(activation_trace()))
-                    .decisions.empty());
+    EXPECT_TRUE(
+        plan_recompute(analysis::TraceView(activation_trace()), opts)
+            .decisions.empty());
 }
 
-TEST(RecomputePlanner, PeakCreditUsesComputeAdjustedWindow)
+TEST(RecomputeOnlyPlan, PeakCreditUsesComputeAdjustedWindow)
 {
     // A transient spike inside the activation's absence window
     // [gap_start, gap_end - cost): the dropped block is absent
@@ -192,8 +218,7 @@ TEST(RecomputePlanner, PeakCreditUsesComputeAdjustedWindow)
     r.record(ev(11 * kNsPerMs, trace::EventKind::kFree, 1, act));
     r.record(ev(11 * kNsPerMs, trace::EventKind::kFree, 2, kMB));
 
-    RecomputePlanner planner(RecomputeOptions{});
-    const auto plan = planner.plan(analysis::TraceView(r));
+    const auto plan = plan_recompute(analysis::TraceView(r));
     ASSERT_EQ(plan.decisions.size(), 1u);
     EXPECT_EQ(plan.original_peak_bytes, act + spike + kMB);
     EXPECT_EQ(plan.peak_reduction_bytes, act);

@@ -125,7 +125,8 @@ TEST(StrategyPlanner, PeerUnavailableOnASingleDevice)
     const analysis::TraceView r(recompute_cheaper_trace());
 
     EXPECT_FALSE(slow_link_options().peer_available());
-    const auto rep = planner.plan(r, Strategy::kPeerOnly);
+    const auto all = planner.plan_all(r);
+    const auto &rep = all[at(Strategy::kPeerOnly)];
     EXPECT_FALSE(rep.available);
     EXPECT_TRUE(rep.decisions.empty());
     EXPECT_EQ(rep.peak_reduction_bytes, 0u);
@@ -134,8 +135,7 @@ TEST(StrategyPlanner, PeerUnavailableOnASingleDevice)
     EXPECT_EQ(rep.predicted_overhead, 0);
     EXPECT_EQ(rep.measured_overhead, 0);
 
-    // plan_all carries the same unavailable report in enum order.
-    const auto all = planner.plan_all(r);
+    // The other reports stay available, all in enum order.
     EXPECT_TRUE(all[at(Strategy::kSwapOnly)].available);
     EXPECT_TRUE(all[at(Strategy::kRecomputeOnly)].available);
     EXPECT_FALSE(all[at(Strategy::kPeerOnly)].available);
@@ -151,7 +151,8 @@ TEST(StrategyPlanner, PeerOffloadIsPricedOnThePeerLink)
     StrategyPlanner planner(fast_peer_options());
     const analysis::TraceView r(recompute_cheaper_trace());
 
-    const auto peer_only = planner.plan(r, Strategy::kPeerOnly);
+    const auto all = planner.plan_all(r);
+    const auto &peer_only = all[at(Strategy::kPeerOnly)];
     ASSERT_TRUE(peer_only.available);
     ASSERT_EQ(peer_only.decisions.size(), 1u);
     const ReliefDecision &d = peer_only.decisions[0];
@@ -173,7 +174,7 @@ TEST(StrategyPlanner, PeerOffloadIsPricedOnThePeerLink)
 
     // Hybrid sees all three mechanisms and takes the free one over
     // the ~118 ms swap stall and the 1 us recompute.
-    const auto hybrid = planner.plan(r, Strategy::kHybrid);
+    const auto &hybrid = all[at(Strategy::kHybrid)];
     ASSERT_EQ(hybrid.decisions.size(), 1u);
     EXPECT_EQ(hybrid.decisions[0].mechanism, Mechanism::kPeer);
     EXPECT_EQ(hybrid.predicted_overhead, 0);
@@ -185,8 +186,9 @@ TEST(StrategyPlanner, HybridPicksRecomputeWhenCheaperThanSwapStall)
     StrategyPlanner planner(slow_link_options());
     const analysis::TraceView r(recompute_cheaper_trace());
 
-    const auto swap_only = planner.plan(r, Strategy::kSwapOnly);
-    const auto hybrid = planner.plan(r, Strategy::kHybrid);
+    const auto all = planner.plan_all(r);
+    const auto &swap_only = all[at(Strategy::kSwapOnly)];
+    const auto &hybrid = all[at(Strategy::kHybrid)];
 
     // The swap option stalls ~118 ms; recomputing costs 1 us.
     ASSERT_EQ(swap_only.decisions.size(), 1u);
@@ -209,9 +211,10 @@ TEST(StrategyPlanner, ZeroBudgetKeepsOnlyHideableSwaps)
 
     // Nothing is free here (the swap stalls, the recompute costs a
     // re-run), so a zero budget buys zero decisions.
+    const auto all = planner.plan_all(r);
     for (Strategy s : {Strategy::kSwapOnly, Strategy::kRecomputeOnly,
                        Strategy::kHybrid}) {
-        const auto rep = planner.plan(r, s);
+        const auto &rep = all[at(s)];
         EXPECT_TRUE(rep.decisions.empty())
             << strategy_name(s) << " spent overhead with zero budget";
         EXPECT_EQ(rep.predicted_overhead, 0u);
@@ -221,9 +224,9 @@ TEST(StrategyPlanner, ZeroBudgetKeepsOnlyHideableSwaps)
 TEST(StrategyPlanner, ReportAccountingIsConsistent)
 {
     StrategyPlanner planner(slow_link_options());
-    const auto rep =
-        planner.plan(analysis::TraceView(recompute_cheaper_trace()),
-                     Strategy::kHybrid);
+    const analysis::TraceView r(recompute_cheaper_trace());
+    const auto all = planner.plan_all(r);
+    const auto &rep = all[at(Strategy::kHybrid)];
     EXPECT_EQ(rep.swap_decisions + rep.recompute_decisions,
               rep.decisions.size());
     std::size_t swapped = 0, recomputed = 0;
@@ -250,10 +253,12 @@ TEST(StrategyPlanner, PlansAreDeterministic)
 {
     StrategyPlanner planner(slow_link_options());
     const analysis::TraceView r(recompute_cheaper_trace());
+    const auto first = planner.plan_all(r);
+    const auto second = planner.plan_all(r);
     for (Strategy s : {Strategy::kSwapOnly, Strategy::kRecomputeOnly,
                        Strategy::kHybrid}) {
-        const auto a = planner.plan(r, s);
-        const auto b = planner.plan(r, s);
+        const auto &a = first[at(s)];
+        const auto &b = second[at(s)];
         ASSERT_EQ(a.decisions.size(), b.decisions.size());
         for (std::size_t i = 0; i < a.decisions.size(); ++i) {
             EXPECT_EQ(a.decisions[i].mechanism,

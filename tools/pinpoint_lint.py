@@ -122,34 +122,6 @@ def _in_dirs(rel, dirs):
     return any(rel.parts and rel.parts[0] == d for d in dirs)
 
 
-class TimelineConstructionRule(Rule):
-    rule_id = "timeline-construction"
-    rationale = (
-        "analysis::Timeline is built exactly once per run, inside "
-        "TraceView::timeline(); constructing one anywhere else "
-        "reintroduces the pre-PR-5 rebuild-per-consumer cost"
-    )
-    # The class's own definition and the one blessed build site.
-    ALLOWED = {
-        Path("src/analysis/timeline.h"),
-        Path("src/analysis/timeline.cc"),
-        Path("src/analysis/trace_view.cc"),
-    }
-    PATTERN = re.compile(r"\bnew\s+Timeline\b|\bTimeline\s*[({]")
-
-    def applies_to(self, rel):
-        return rel not in self.ALLOWED
-
-    def check(self, rel, raw_lines, masked_lines):
-        hits = []
-        for no, line in enumerate(masked_lines, 1):
-            if self.PATTERN.search(line):
-                hits.append(
-                    (no, "Timeline constructed outside TraceView")
-                )
-        return hits
-
-
 class RawNumberParseRule(Rule):
     rule_id = "raw-number-parse"
     rationale = (
@@ -472,7 +444,6 @@ class StaleSuppressionRule(Rule):
 
 
 RULES = [
-    TimelineConstructionRule(),
     RawNumberParseRule(),
     NondeterminismSourceRule(),
     UnorderedExportIterationRule(),
